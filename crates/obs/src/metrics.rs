@@ -64,13 +64,21 @@ impl Gauge {
 /// Buckets are cumulative-style upper bounds: an observation lands in the
 /// first bucket whose bound is `>= value`, or in the implicit overflow
 /// bucket. Bounds are fixed at construction — no allocation or locking on
-/// `observe`.
+/// `observe`. The exact minimum and maximum are tracked beside the
+/// buckets, and [`Histogram::quantile`] never reports a value outside
+/// them.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<u64>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
+    /// Smallest observation (`u64::MAX` while empty; 0 when rebuilt from
+    /// a snapshot that did not record it).
+    min: AtomicU64,
+    /// Largest observation (0 while empty; `u64::MAX` when rebuilt from a
+    /// snapshot that did not record it).
+    max: AtomicU64,
     /// Per-bucket exemplars: the most recent `(trace_id, value)` whose
     /// observation landed in that bucket (overflow bucket last). Fed only
     /// by the explicit [`Histogram::record_exemplar`] call, so `observe`
@@ -88,6 +96,8 @@ impl Histogram {
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
             exemplars: Mutex::new(vec![None; bounds.len() + 1]),
         }
     }
@@ -134,6 +144,8 @@ impl Histogram {
         self.buckets[index].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Attaches `trace_id` as the exemplar of the bucket `value` lands
@@ -177,6 +189,16 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
+    /// The smallest observation, or `None` while empty.
+    pub fn min(&self) -> Option<u64> {
+        (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
+    }
+
+    /// The largest observation, or `None` while empty.
+    pub fn max(&self) -> Option<u64> {
+        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
+    }
+
     /// Per-bucket counts, overflow bucket last.
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
@@ -210,6 +232,10 @@ impl Histogram {
             .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         self.sum
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max
+            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
         Ok(())
     }
 
@@ -217,8 +243,25 @@ impl Histogram {
     /// interpolation inside the bucket where the cumulative count crosses
     /// `q * count` — the same estimate Prometheus's `histogram_quantile`
     /// computes. Quantiles landing in the overflow bucket report the
-    /// highest finite bound. Returns `None` for an empty histogram.
+    /// highest finite bound. The estimate is then clamped into the exact
+    /// `[min, max]` of the observations, so `p99 ≤ max` holds by
+    /// construction. Returns `None` for an empty histogram.
     pub fn quantile(&self, q: f64) -> Option<f64> {
+        let estimate = self.bucket_quantile(q)?;
+        let (min, max) = (
+            self.min.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+        );
+        // A concurrent `observe` may be counted before its extremes land.
+        Some(if min <= max {
+            estimate.clamp(min as f64, max as f64)
+        } else {
+            estimate
+        })
+    }
+
+    /// The unclamped bucket interpolation behind [`Histogram::quantile`].
+    fn bucket_quantile(&self, q: f64) -> Option<f64> {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -256,6 +299,10 @@ impl Histogram {
         let mut map = Map::new();
         map.insert("count".to_string(), Value::from(self.count()));
         map.insert("sum".to_string(), Value::from(self.sum()));
+        if let (Some(min), Some(max)) = (self.min(), self.max()) {
+            map.insert("min".to_string(), Value::from(min));
+            map.insert("max".to_string(), Value::from(max));
+        }
         map.insert(
             "bounds".to_string(),
             Value::from(self.bounds.clone()),
@@ -265,7 +312,10 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from its snapshot JSON (`{count, sum,
-    /// bounds, buckets}`, as emitted inside `MetricsRegistry::snapshot`).
+    /// bounds, buckets}` plus `min`/`max` once non-empty, as emitted
+    /// inside `MetricsRegistry::snapshot`). A non-empty snapshot without
+    /// `min`/`max` rebuilds with the widest range, so its quantiles are
+    /// not clamped.
     /// Returns `None` on any shape mismatch: missing fields, a bucket
     /// list that does not cover the bounds plus overflow, or
     /// non-ascending bounds. Fleet tooling uses this to pull per-node
@@ -297,6 +347,15 @@ impl Histogram {
         histogram
             .sum
             .store(value.get("sum")?.as_u64()?, Ordering::Relaxed);
+        if histogram.count() > 0 {
+            let field = |name: &str| value.get(name).and_then(Value::as_u64);
+            histogram
+                .min
+                .store(field("min").unwrap_or(0), Ordering::Relaxed);
+            histogram
+                .max
+                .store(field("max").unwrap_or(u64::MAX), Ordering::Relaxed);
+        }
         Some(histogram)
     }
 }
@@ -828,19 +887,57 @@ mod tests {
         // q=0.5 -> target 4.0 crosses in bucket (10,100]: lower 10,
         // fraction (4-2)/4 = 0.5 -> 10 + 0.5*90 = 55.
         assert_eq!(h.quantile(0.5), Some(55.0));
-        // q=0 lands at the lower edge of the first non-empty bucket.
-        assert_eq!(h.quantile(0.0), Some(0.0));
+        // q=0 lands at the lower edge of the first non-empty bucket,
+        // raised to the exact minimum.
+        assert_eq!(h.quantile(0.0), Some(5.0));
         // q in the overflow bucket reports the highest finite bound.
         assert_eq!(h.quantile(1.0), Some(1000.0));
         // Out-of-range q clamps rather than panicking.
         assert_eq!(h.quantile(7.0), Some(1000.0));
-        assert_eq!(h.quantile(-1.0), Some(0.0));
+        assert_eq!(h.quantile(-1.0), Some(5.0));
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_observed_range() {
+        // Two check_horizon latencies, 1.57 s and 5.9 s: interpolating
+        // inside the (5 s, 10 s] bucket alone would report p99 = 9.9 s.
+        let h = Histogram::new(&Histogram::latency_bounds());
+        h.observe(1_570_000_000);
+        h.observe(5_900_000_000);
+        assert_eq!(
+            (h.min(), h.max()),
+            (Some(1_570_000_000), Some(5_900_000_000))
+        );
+        assert_eq!(h.quantile(0.99), Some(5.9e9));
+        assert_eq!(h.quantile(1.0), Some(5.9e9));
+        assert_eq!(h.quantile(0.0), Some(1.57e9));
+        for q in [0.0, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
+            let estimate = h.quantile(q).unwrap();
+            assert!((1.57e9..=5.9e9).contains(&estimate), "q={q}: {estimate}");
+        }
+
+        // The extremes survive a merge and a snapshot round trip.
+        let (fast, slow) = (
+            Histogram::new(&Histogram::latency_bounds()),
+            Histogram::new(&Histogram::latency_bounds()),
+        );
+        fast.observe(1_570_000_000);
+        slow.observe(5_900_000_000);
+        let merged = Histogram::new(&Histogram::latency_bounds());
+        merged.merge_from(&fast).unwrap();
+        merged.merge_from(&slow).unwrap();
+        assert_eq!((merged.min(), merged.max()), (h.min(), h.max()));
+        assert_eq!(merged.quantile(0.99), Some(5.9e9));
+        let rebuilt = Histogram::from_snapshot(&merged.snapshot()).unwrap();
+        assert_eq!((rebuilt.min(), rebuilt.max()), (h.min(), h.max()));
+        assert_eq!(rebuilt.quantile(0.99), Some(5.9e9));
     }
 
     #[test]
     fn quantile_of_empty_histogram_is_none() {
         let h = Histogram::new(&[10]);
         assert_eq!(h.quantile(0.5), None);
+        assert_eq!((h.min(), h.max()), (None, None));
     }
 
     #[test]

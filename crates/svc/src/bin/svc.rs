@@ -201,35 +201,25 @@ fn build_mix(spec: &str) -> Result<Vec<MixEntry>, String> {
 /// `latency_ns` block. Quantiles are clamped to the exact observed
 /// maximum: bucket interpolation can overestimate inside the top
 /// occupied bucket, and the schema requires `p99 <= max`.
-fn latency_block(latency: &Histogram, max_ns: u64) -> Value {
-    let q = |q: f64| {
-        latency
-            .quantile(q)
-            .map(|v| v.min(max_ns as f64))
-            .unwrap_or(0.0)
-    };
+fn latency_block(latency: &Histogram) -> Value {
+    let q = |q: f64| latency.quantile(q).unwrap_or(0.0);
     let mut block = Map::new();
     block.insert("count", Value::from(latency.count()));
     block.insert("p50", Value::from(q(0.50)));
     block.insert("p95", Value::from(q(0.95)));
     block.insert("p99", Value::from(q(0.99)));
-    block.insert("max", Value::from(max_ns as f64));
+    block.insert("max", Value::from(latency.max().unwrap_or(0) as f64));
     Value::Object(block)
 }
 
-fn print_latency(label: &str, latency: &Histogram, max_ns: u64) {
-    let q = |q: f64| {
-        latency
-            .quantile(q)
-            .map(|v| v.min(max_ns as f64) / 1_000.0)
-            .unwrap_or(0.0)
-    };
+fn print_latency(label: &str, latency: &Histogram) {
+    let q = |q: f64| latency.quantile(q).unwrap_or(0.0) / 1_000.0;
     println!(
         "  {label} latency µs: p50 {:.1} p95 {:.1} p99 {:.1} max {:.1}",
         q(0.50),
         q(0.95),
         q(0.99),
-        max_ns as f64 / 1_000.0
+        latency.max().unwrap_or(0) as f64 / 1_000.0
     );
 }
 
@@ -417,10 +407,7 @@ fn summary_fields(map: &mut Map, summary: &OpenLoopSummary) {
     map.insert("dropped_by_cap", Value::from(summary.dropped_by_cap));
     map.insert("busy", Value::from(summary.busy));
     map.insert("elapsed_s", Value::from(summary.elapsed_s));
-    map.insert(
-        "latency_ns",
-        latency_block(&summary.latency, summary.max_latency_ns),
-    );
+    map.insert("latency_ns", latency_block(&summary.latency));
 }
 
 fn print_summary(summary: &OpenLoopSummary) {
@@ -435,7 +422,7 @@ fn print_summary(summary: &OpenLoopSummary) {
         summary.busy,
         summary.elapsed_s,
     );
-    print_latency("deadline→response", &summary.latency, summary.max_latency_ns);
+    print_latency("deadline→response", &summary.latency);
 }
 
 fn bench_open_loop(opts: &BenchOpts) -> ExitCode {
@@ -525,10 +512,7 @@ fn bench_sweep(opts: &BenchOpts) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let p99 = summary
-            .latency
-            .quantile(0.99)
-            .map(|v| v.min(summary.max_latency_ns as f64));
+        let p99 = summary.latency.quantile(0.99);
         println!(
             "  freq {:>8.1}/s → achieved {:>8.1}/s  p99 {:>8.2} ms  dropped_by_cap {}",
             freq,
@@ -620,7 +604,6 @@ fn bench_sweep(opts: &BenchOpts) -> ExitCode {
 
 struct ThreadOutcome {
     latency: Histogram,
-    max_ns: u64,
     errors: usize,
     busy: usize,
 }
@@ -671,7 +654,6 @@ fn bench_closed_loop(opts: &BenchOpts) -> ExitCode {
     // Pool per-thread histograms — the same merge the open-loop driver
     // uses, so both modes report quantiles with identical semantics.
     let latency = Histogram::new(&Histogram::latency_bounds());
-    let mut max_ns = 0u64;
     let mut errors = 0usize;
     let mut busy = 0usize;
     for outcome in &outcomes {
@@ -679,7 +661,6 @@ fn bench_closed_loop(opts: &BenchOpts) -> ExitCode {
             eprintln!("svc bench: histogram merge failed: {err}");
             return ExitCode::FAILURE;
         }
-        max_ns = max_ns.max(outcome.max_ns);
         errors += outcome.errors;
         busy += outcome.busy;
     }
@@ -692,7 +673,7 @@ fn bench_closed_loop(opts: &BenchOpts) -> ExitCode {
         elapsed.as_secs_f64()
     );
     if let Some(warm_mean) = latency.sum().checked_div(ok) {
-        print_latency("warm", &latency, max_ns);
+        print_latency("warm", &latency);
         println!(
             "  cold first request: {} µs ({:.1}× warm mean)",
             cold_ns / 1_000,
@@ -712,7 +693,7 @@ fn bench_closed_loop(opts: &BenchOpts) -> ExitCode {
     body.insert("busy", Value::from(busy));
     body.insert("elapsed_s", Value::from(elapsed.as_secs_f64()));
     body.insert("cold_first_request_ns", Value::from(cold_ns));
-    body.insert("latency_ns", latency_block(&latency, max_ns));
+    body.insert("latency_ns", latency_block(&latency));
     attach_daemon_view(&mut body, addr);
     minobs_bench::write_bench_artifact(opts.out.as_deref(), &opts.id, body);
     // The daemon's own view of the run, written next to the experiment
@@ -1373,7 +1354,6 @@ fn dump_cmd(args: &[String]) -> ExitCode {
 fn run_thread(addr: &str, method: &str, params: &Value, requests: usize) -> ThreadOutcome {
     let mut outcome = ThreadOutcome {
         latency: Histogram::new(&Histogram::latency_bounds()),
-        max_ns: 0,
         errors: 0,
         busy: 0,
     };
@@ -1389,9 +1369,7 @@ fn run_thread(addr: &str, method: &str, params: &Value, requests: usize) -> Thre
         let start = Instant::now();
         match client.call(method, params.clone()) {
             Ok(_) => {
-                let nanos = start.elapsed().as_nanos() as u64;
-                outcome.latency.observe(nanos);
-                outcome.max_ns = outcome.max_ns.max(nanos);
+                outcome.latency.observe(start.elapsed().as_nanos() as u64);
             }
             Err(SvcError::Busy(_)) => {
                 // Back-pressure, not failure: the daemon's connection cap

@@ -292,26 +292,12 @@ pub fn run_sender<C: Clock, D: Dispatch>(
 /// still counts against the service (no coordinated omission).
 pub fn observe_completion(
     latency: &Histogram,
-    max_latency_ns: &AtomicU64,
     counters: &LoadCounters,
     deadline_ns: u64,
     now_ns: u64,
     ok: bool,
 ) {
-    let nanos = now_ns.saturating_sub(deadline_ns);
-    latency.observe(nanos);
-    let mut seen = max_latency_ns.load(Ordering::Relaxed);
-    while nanos > seen {
-        match max_latency_ns.compare_exchange_weak(
-            seen,
-            nanos,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => break,
-            Err(actual) => seen = actual,
-        }
-    }
+    latency.observe(now_ns.saturating_sub(deadline_ns));
     counters.completed.fetch_add(1, Ordering::Relaxed);
     if !ok {
         counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -355,11 +341,9 @@ pub struct OpenLoopSummary {
     pub busy: u64,
     /// Total wall clock including drain, seconds.
     pub elapsed_s: f64,
-    /// Deadline→response latency, merged across threads.
+    /// Deadline→response latency, merged across threads (with its exact
+    /// maximum).
     pub latency: Histogram,
-    /// Exact maximum observed latency in nanoseconds (the histogram's
-    /// top bucket is an estimate; this is not).
-    pub max_latency_ns: u64,
 }
 
 struct SocketDispatch {
@@ -404,7 +388,6 @@ pub fn run_open_loop(addr: &str, config: &OpenLoopConfig) -> Result<OpenLoopSumm
     }
     let clock = Arc::new(SystemClock::new());
     let counters = Arc::new(LoadCounters::default());
-    let max_latency_ns = Arc::new(AtomicU64::new(0));
     let live_inflight = Arc::new(AtomicUsize::new(0));
     let until_ns = u64::try_from(config.duration.as_nanos()).unwrap_or(u64::MAX);
 
@@ -442,7 +425,6 @@ pub fn run_open_loop(addr: &str, config: &OpenLoopConfig) -> Result<OpenLoopSumm
             let counters = Arc::clone(&counters);
             let in_flight = Arc::clone(&in_flight);
             let live_inflight = Arc::clone(&live_inflight);
-            let max_latency_ns = Arc::clone(&max_latency_ns);
             let thread_latency = Histogram::new(&Histogram::latency_bounds());
             std::thread::spawn(move || {
                 let mut reader = BufReader::new(read_half);
@@ -479,14 +461,7 @@ pub fn run_open_loop(addr: &str, config: &OpenLoopConfig) -> Result<OpenLoopSumm
                     let now = clock.now_ns();
                     let ok = response.get("ok").and_then(Value::as_bool) == Some(true)
                         && response.get("id").and_then(Value::as_u64) == Some(id);
-                    observe_completion(
-                        &thread_latency,
-                        &max_latency_ns,
-                        &counters,
-                        deadline_ns,
-                        now,
-                        ok,
-                    );
+                    observe_completion(&thread_latency, &counters, deadline_ns, now, ok);
                     in_flight.fetch_sub(1, Ordering::AcqRel);
                     live_inflight.store(in_flight.load(Ordering::Acquire), Ordering::Relaxed);
                 }
@@ -561,7 +536,6 @@ pub fn run_open_loop(addr: &str, config: &OpenLoopConfig) -> Result<OpenLoopSumm
         busy,
         elapsed_s,
         latency: merged,
-        max_latency_ns: max_latency_ns.load(Ordering::Relaxed),
     })
 }
 
@@ -803,22 +777,21 @@ mod tests {
     #[test]
     fn latency_is_measured_from_the_send_deadline() {
         let latency = Histogram::new(&Histogram::latency_bounds());
-        let max_ns = AtomicU64::new(0);
         let counters = LoadCounters::default();
         // Scheduled at t=100µs, answered at t=350µs: 250µs of latency,
         // regardless of when the driver actually got the bytes out.
-        observe_completion(&latency, &max_ns, &counters, 100_000, 350_000, true);
+        observe_completion(&latency, &counters, 100_000, 350_000, true);
         assert_eq!(latency.count(), 1);
         assert_eq!(latency.sum(), 250_000);
-        assert_eq!(max_ns.load(Ordering::Relaxed), 250_000);
+        assert_eq!(latency.max(), Some(250_000));
         assert_eq!(counters.completed.load(Ordering::Relaxed), 1);
         assert_eq!(counters.errors.load(Ordering::Relaxed), 0);
         // An rpc error still completes (the round trip happened) but
         // counts as an error.
-        observe_completion(&latency, &max_ns, &counters, 400_000, 500_000, false);
+        observe_completion(&latency, &counters, 400_000, 500_000, false);
         assert_eq!(counters.completed.load(Ordering::Relaxed), 2);
         assert_eq!(counters.errors.load(Ordering::Relaxed), 1);
-        assert_eq!(max_ns.load(Ordering::Relaxed), 250_000);
+        assert_eq!(latency.max(), Some(250_000));
     }
 
     #[test]

@@ -34,6 +34,103 @@ pub struct ChainStep {
     pub black_input: bool,
 }
 
+/// A bivalency chain, stored compactly: each step is a prefix index into
+/// the checker's tree-encoded prefix store plus the input pair, and
+/// [`ChainStep`]s are rebuilt on demand by [`Chain::iter`]. A chain of a
+/// million executions costs eight bytes a step instead of a heap `Word`
+/// each.
+#[derive(Clone)]
+pub struct Chain {
+    prefixes: PrefixStore,
+    /// `(prefix index, white input, black input)` per step.
+    steps: Vec<(u32, bool, bool)>,
+}
+
+impl Chain {
+    /// Number of executions in the chain.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// `true` iff the chain has no steps (never the case for a chain the
+    /// checker returns).
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// The execution the chain starts from (pinned to one value).
+    pub fn first(&self) -> Option<ChainStep> {
+        self.steps.first().map(|&step| self.step(step))
+    }
+
+    /// The execution the chain ends at (pinned to the other value).
+    pub fn last(&self) -> Option<ChainStep> {
+        self.steps.last().map(|&step| self.step(step))
+    }
+
+    /// The steps in order, each rebuilt from the prefix store.
+    pub fn iter(&self) -> ChainIter<'_> {
+        ChainIter {
+            chain: self,
+            steps: self.steps.iter(),
+        }
+    }
+
+    fn step(&self, (prefix_idx, white_input, black_input): (u32, bool, bool)) -> ChainStep {
+        ChainStep {
+            prefix: reconstruct(&self.prefixes, prefix_idx),
+            white_input,
+            black_input,
+        }
+    }
+}
+
+/// Chains compare step by step, whatever their prefix stores hold.
+impl PartialEq for Chain {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Chain {}
+
+/// Prints as the list of its steps.
+impl std::fmt::Debug for Chain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`Chain`]'s steps.
+#[derive(Clone)]
+pub struct ChainIter<'a> {
+    chain: &'a Chain,
+    steps: std::slice::Iter<'a, (u32, bool, bool)>,
+}
+
+impl Iterator for ChainIter<'_> {
+    type Item = ChainStep;
+
+    fn next(&mut self) -> Option<ChainStep> {
+        self.steps.next().map(|&step| self.chain.step(step))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.steps.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ChainIter<'_> {}
+
+impl<'a> IntoIterator for &'a Chain {
+    type Item = ChainStep;
+    type IntoIter = ChainIter<'a>;
+
+    fn into_iter(self) -> ChainIter<'a> {
+        self.iter()
+    }
+}
+
 /// The checker's verdict at horizon `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckResult {
@@ -50,7 +147,7 @@ pub enum CheckResult {
         /// A chain of executions linking a 0-pinned view to a 1-pinned
         /// view; consecutive steps share a process view (the bivalency
         /// chain).
-        chain: Vec<ChainStep>,
+        chain: Chain,
     },
     /// The scheme allows no prefix of length `k` at all (empty scheme).
     Empty,
@@ -165,6 +262,17 @@ impl UnionFind {
 
 /// Tree-encoded prefix store: `prefixes[i] = (parent index, letter)`.
 type PrefixStore = Vec<(u32, Option<Letter>)>;
+
+/// The word stored at `idx`, read back to the root.
+fn reconstruct(prefixes: &PrefixStore, mut idx: u32) -> Word {
+    let mut letters = Vec::new();
+    while let (parent, Some(letter)) = prefixes[idx as usize] {
+        letters.push(letter);
+        idx = parent;
+    }
+    letters.reverse();
+    Word(letters)
+}
 
 /// One frontier entry: an allowed prefix (index into `prefixes`) with an
 /// input pair and the two current views.
@@ -347,16 +455,6 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
         }
     }
 
-    let reconstruct = |prefixes: &PrefixStore, mut idx: u32| -> Word {
-        let mut letters = Vec::new();
-        while let (parent, Some(letter)) = prefixes[idx as usize] {
-            letters.push(letter);
-            idx = parent;
-        }
-        letters.reverse();
-        Word(letters)
-    };
-
     let mut span_ids = SpanIds::new();
     let mut states_total = frontier.len();
     let mut progress_mark = states_total / CHECKER_PROGRESS_STRIDE;
@@ -364,7 +462,6 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
     for round in 0..k {
         let step_timer = RoundTimer::start_if(recorder.enabled());
         let expand_span = SpanGuard::begin(recorder, &mut span_ids, round + 1, None, "checker_expand");
-        let mut next: Vec<ExecState> = Vec::with_capacity(frontier.len() * alphabet.len());
         // Group by prefix: all four input pairs extend the same way, so
         // test allows_prefix once per (prefix, letter). Entries with the
         // same prefix are contiguous by construction.
@@ -381,22 +478,52 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
         }
 
         // Viability of every (group, letter) extension — the expensive
-        // queries, batched so the parallel variant can fan them out.
-        let candidate_words: Vec<Word> = groups
-            .iter()
-            .flat_map(|&(_, _, pidx)| {
-                let word = reconstruct(&prefixes, pidx);
-                alphabet.iter().map(move |&l| word.push(l))
-            })
-            .collect();
+        // queries. The parallel variant fans a batch of words out; the
+        // sequential one tests each group's word in place.
         let viable: Vec<bool> = match batch {
-            Some(run_batch) => run_batch(&candidate_words),
-            None => candidate_words.iter().map(allows).collect(),
+            Some(run_batch) => {
+                let candidate_words: Vec<Word> = groups
+                    .iter()
+                    .flat_map(|&(_, _, pidx)| {
+                        let word = reconstruct(&prefixes, pidx);
+                        alphabet.iter().map(move |&l| word.push(l))
+                    })
+                    .collect();
+                run_batch(&candidate_words)
+            }
+            None => {
+                let mut viable = Vec::with_capacity(groups.len() * alphabet.len());
+                for &(_, _, pidx) in &groups {
+                    let mut word = reconstruct(&prefixes, pidx);
+                    for &letter in alphabet {
+                        word.0.push(letter);
+                        viable.push(allows(&word));
+                        word.0.pop();
+                    }
+                }
+                viable
+            }
         };
 
+        // Each viable (group, letter) pair extends the whole group once:
+        // size the next frontier and this round's intern table for that.
+        let width = alphabet.len();
+        let next_len: usize = groups
+            .iter()
+            .enumerate()
+            .map(|(g, &(i, j, _))| {
+                (j - i)
+                    * viable[g * width..(g + 1) * width]
+                        .iter()
+                        .filter(|&&v| v)
+                        .count()
+            })
+            .sum();
+        let mut next: Vec<ExecState> = Vec::with_capacity(next_len);
+        arena.next_round(next_len);
         for (g, &(i, j, prefix_idx)) in groups.iter().enumerate() {
             for (li, &letter) in alphabet.iter().enumerate() {
-                if !viable[g * alphabet.len() + li] {
+                if !viable[g * width + li] {
                     continue;
                 }
                 prefixes.push((prefix_idx, Some(letter)));
@@ -459,60 +586,32 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
             }
         }
     }
-
-    // Union final views per execution; pin uniform-input executions.
-    let decide_span = SpanGuard::begin(recorder, &mut span_ids, k, None, "checker_decide");
+    // Decide needs only how many views exist, not their keys.
     let n_views = arena.len();
-    let mut uf = UnionFind::new(n_views);
-    for e in &frontier {
-        uf.union(e.view_w.0, e.view_b.0);
-    }
-    // Pins: root → required value (via a representative execution).
-    let mut pin0: Vec<Option<usize>> = vec![None; n_views]; // exec index
-    let mut pin1: Vec<Option<usize>> = vec![None; n_views];
-    for (idx, e) in frontier.iter().enumerate() {
-        if e.white_input == e.black_input {
-            let root = uf.find(e.view_w.0) as usize;
-            let slot = if e.white_input { &mut pin1 } else { &mut pin0 };
-            if slot[root].is_none() {
-                slot[root] = Some(idx);
-            }
-        }
-    }
-    let conflict_root = (0..n_views).find(|&r| {
-        // Only roots carry pins.
-        pin0[r].is_some() && pin1[r].is_some()
-    });
+    drop(arena);
+    // Decide indexes executions, and the chain search its two entries
+    // per execution, by `u32`.
+    assert!(
+        frontier.len() < u32::MAX as usize / 2,
+        "execution indices fit in u32"
+    );
 
-    let result = match conflict_root {
-        None => {
-            // Count components among final views only.
-            let mut roots: Vec<u32> = frontier
-                .iter()
-                .flat_map(|e| [e.view_w.0, e.view_b.0])
-                .collect();
-            for r in roots.iter_mut() {
-                *r = uf.find(*r);
+    let decide_span = SpanGuard::begin(recorder, &mut span_ids, k, None, "checker_decide");
+    let decide_id = decide_span.as_ref().map(SpanGuard::id);
+    let uf_span = SpanGuard::begin(recorder, &mut span_ids, k, decide_id, "checker_uf");
+    let decision = union_and_pin(&frontier, n_views);
+    if let Some(span) = uf_span {
+        span.end(recorder);
+    }
+    let result = match decision {
+        Ok(solvable) => solvable,
+        Err((start, goal)) => {
+            let chain_span =
+                SpanGuard::begin(recorder, &mut span_ids, k, decide_id, "checker_chain");
+            let chain = extract_chain(&frontier, n_views, prefixes, start, goal);
+            if let Some(span) = chain_span {
+                span.end(recorder);
             }
-            roots.sort_unstable();
-            roots.dedup();
-            let finals: std::collections::BTreeSet<u32> = frontier
-                .iter()
-                .flat_map(|e| [e.view_w.0, e.view_b.0])
-                .collect();
-            CheckResult::Solvable {
-                views: finals.len(),
-                components: roots.len(),
-            }
-        }
-        Some(root) => {
-            let chain = extract_chain(
-                &frontier,
-                &prefixes,
-                pin0[root].unwrap(),
-                pin1[root].unwrap(),
-                &reconstruct,
-            );
             CheckResult::Unsolvable { chain }
         }
     };
@@ -522,60 +621,120 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
     result
 }
 
+/// Unions the two final views of every execution and pins each
+/// uniform-input execution's component to its input. Returns the
+/// [`CheckResult::Solvable`] verdict, or — for the first component (by
+/// root id) pinned both ways — its first 0-pinned and first 1-pinned
+/// executions.
+fn union_and_pin(frontier: &[ExecState], n_views: usize) -> Result<CheckResult, (usize, usize)> {
+    let mut uf = UnionFind::new(n_views);
+    for e in frontier {
+        uf.union(e.view_w.0, e.view_b.0);
+    }
+    // Pins: root → execution index + 1 of a representative execution
+    // (0 = unpinned).
+    let mut pin0 = vec![0u32; n_views];
+    let mut pin1 = vec![0u32; n_views];
+    for (idx, e) in frontier.iter().enumerate() {
+        if e.white_input == e.black_input {
+            let root = uf.find(e.view_w.0) as usize;
+            let slot = if e.white_input {
+                &mut pin1[root]
+            } else {
+                &mut pin0[root]
+            };
+            if *slot == 0 {
+                *slot = idx as u32 + 1;
+            }
+        }
+    }
+    // Only roots carry pins.
+    if let Some(root) = (0..n_views).find(|&r| pin0[r] != 0 && pin1[r] != 0) {
+        return Err((pin0[root] as usize - 1, pin1[root] as usize - 1));
+    }
+    // Count components among final views only.
+    let mut finals: Vec<u32> = frontier
+        .iter()
+        .flat_map(|e| [e.view_w.0, e.view_b.0])
+        .collect();
+    finals.sort_unstable();
+    finals.dedup();
+    let views = finals.len();
+    let mut roots: Vec<u32> = finals.into_iter().map(|v| uf.find(v)).collect();
+    roots.sort_unstable();
+    roots.dedup();
+    Ok(CheckResult::Solvable {
+        views,
+        components: roots.len(),
+    })
+}
+
 /// BFS over executions: two executions are adjacent when they share a
 /// final view (some process cannot distinguish them). Returns the chain
 /// from the 0-pinned execution to the 1-pinned one.
 fn extract_chain(
     frontier: &[ExecState],
-    prefixes: &PrefixStore,
+    n_views: usize,
+    prefixes: PrefixStore,
     start: usize,
     goal: usize,
-    reconstruct: &dyn Fn(&PrefixStore, u32) -> Word,
-) -> Vec<ChainStep> {
-    use std::collections::{HashMap, VecDeque};
-    // view id → executions carrying it.
-    let mut by_view: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (idx, e) in frontier.iter().enumerate() {
-        by_view.entry(e.view_w.0).or_default().push(idx);
-        by_view.entry(e.view_b.0).or_default().push(idx);
-    }
-    let mut prev: HashMap<usize, usize> = HashMap::new();
-    let mut seen = vec![false; frontier.len()];
-    seen[start] = true;
-    let mut queue = VecDeque::from([start]);
-    'bfs: while let Some(cur) = queue.pop_front() {
-        if cur == goal {
-            break 'bfs;
+) -> Chain {
+    let views = |e: &ExecState| [e.view_w.0 as usize, e.view_b.0 as usize];
+    // CSR adjacency view → executions, by counting sort in execution
+    // order: count view `v` at `offsets[v + 2]`, prefix-sum, then fill
+    // through the cursor `offsets[v + 1]`, which leaves `v`'s executions
+    // at `entries[offsets[v]..offsets[v + 1]]`.
+    let mut offsets = vec![0u32; n_views + 2];
+    for e in frontier {
+        for v in views(e) {
+            offsets[v + 2] += 1;
         }
-        let e = &frontier[cur];
-        for v in [e.view_w.0, e.view_b.0] {
-            for &other in by_view.get(&v).into_iter().flatten() {
-                if !seen[other] {
-                    seen[other] = true;
-                    prev.insert(other, cur);
-                    queue.push_back(other);
+    }
+    for i in 2..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut entries = vec![0u32; 2 * frontier.len()];
+    for (idx, e) in frontier.iter().enumerate() {
+        for v in views(e) {
+            let cursor = &mut offsets[v + 1];
+            entries[*cursor as usize] = idx as u32;
+            *cursor += 1;
+        }
+    }
+
+    let mut parent = vec![u32::MAX; frontier.len()];
+    parent[start] = start as u32;
+    let mut queue: Vec<u32> = Vec::with_capacity(frontier.len());
+    queue.push(start as u32);
+    let mut head = 0;
+    while head < queue.len() {
+        let cur = queue[head];
+        head += 1;
+        if cur as usize == goal {
+            break;
+        }
+        for v in views(&frontier[cur as usize]) {
+            for &other in &entries[offsets[v] as usize..offsets[v + 1] as usize] {
+                if parent[other as usize] == u32::MAX {
+                    parent[other as usize] = cur;
+                    queue.push(other);
                 }
             }
         }
     }
-    // Rebuild path.
-    let mut path = vec![goal];
+    // Rebuild the path from the goal back.
+    let mut steps = Vec::new();
     let mut cur = goal;
-    while cur != start {
-        cur = prev[&cur];
-        path.push(cur);
+    loop {
+        let e = &frontier[cur];
+        steps.push((e.prefix_idx, e.white_input, e.black_input));
+        if cur == start {
+            break;
+        }
+        cur = parent[cur] as usize;
     }
-    path.reverse();
-    path.into_iter()
-        .map(|idx| {
-            let e = &frontier[idx];
-            ChainStep {
-                prefix: reconstruct(prefixes, e.prefix_idx),
-                white_input: e.white_input,
-                black_input: e.black_input,
-            }
-        })
-        .collect()
+    steps.reverse();
+    Chain { prefixes, steps }
 }
 
 /// The `Γ` alphabet for the checker.
@@ -751,23 +910,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bivalency_chain_is_a_valid_certificate() {
-        let CheckResult::Unsolvable { chain } = solvable_by(&classic::r1(), 3, &gamma()) else {
-            panic!("R1 must be unsolvable");
+    /// Both processes' full-information views after `step`, spelled out
+    /// as nested strings: built from the letters alone, without the
+    /// checker's interner.
+    fn spelled_views(step: &ChainStep) -> (String, String) {
+        let mut white = format!("W{}", step.white_input as u8);
+        let mut black = format!("B{}", step.black_input as u8);
+        for letter in &step.prefix.0 {
+            let heard = |sender: Role, view: &str| {
+                if letter.delivers_from(sender) {
+                    view.to_string()
+                } else {
+                    "⊥".to_string()
+                }
+            };
+            let next_white = format!("({white}|{})", heard(Role::Black, &black));
+            let next_black = format!("({black}|{})", heard(Role::White, &white));
+            (white, black) = (next_white, next_black);
+        }
+        (white, black)
+    }
+
+    /// Checks `scheme`'s `k`-round chain as a certificate: uniform
+    /// endpoints with opposite inputs, every prefix allowed and of length
+    /// `k`, and every consecutive pair indistinguishable to some process.
+    fn assert_certificate<S: OmissionScheme + Sync>(scheme: &S, k: usize, alphabet: &[Letter]) {
+        let result = solvable_by(scheme, k, alphabet);
+        assert_eq!(
+            result,
+            solvable_by_par(scheme, k, alphabet),
+            "{} k={k}",
+            scheme.name()
+        );
+        let CheckResult::Unsolvable { chain } = result else {
+            panic!("{} must be unsolvable at k={k}", scheme.name());
         };
         assert!(chain.len() >= 2);
+        assert_eq!(chain.iter().len(), chain.len());
         // Endpoints are the uniform executions with opposite values.
         let first = chain.first().unwrap();
         let last = chain.last().unwrap();
         assert_eq!(first.white_input, first.black_input);
         assert_eq!(last.white_input, last.black_input);
         assert_ne!(first.white_input, last.white_input);
-        // Every step's prefix is allowed by the scheme.
+        let steps: Vec<ChainStep> = chain.iter().collect();
+        assert_eq!(steps.first(), Some(&first));
+        assert_eq!(steps.last(), Some(&last));
         for step in &chain {
-            assert!(classic::r1().allows_prefix(&step.prefix), "{:?}", step);
-            assert_eq!(step.prefix.len(), 3);
+            assert!(scheme.allows_prefix(&step.prefix), "{:?}", step);
+            assert_eq!(step.prefix.len(), k);
         }
+        for pair in steps.windows(2) {
+            let (w0, b0) = spelled_views(&pair[0]);
+            let (w1, b1) = spelled_views(&pair[1]);
+            assert!(
+                w0 == w1 || b0 == b1,
+                "{} k={k}: {:?} and {:?} are told apart by both processes",
+                scheme.name(),
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+
+    #[test]
+    fn bivalency_chain_is_a_valid_certificate() {
+        for k in 1..=6 {
+            assert_certificate(&classic::r1(), k, &gamma());
+        }
+        for k in 0..=4 {
+            assert_certificate(&classic::s2(), k, &sigma_alphabet());
+        }
+        for k in 0..=5 {
+            assert_certificate(&CanonicalMinimalObstruction, k, &gamma());
+        }
+    }
+
+    #[test]
+    fn spelled_views_tell_executions_apart() {
+        // The test oracle itself: White hears Black's input only if the
+        // letter delivers Black's message.
+        let step = |prefix: &str, white_input, black_input| ChainStep {
+            prefix: prefix.parse().unwrap(),
+            white_input,
+            black_input,
+        };
+        let (w, b) = spelled_views(&step("w", false, true));
+        assert_eq!((w.as_str(), b.as_str()), ("(W0|B1)", "(B1|⊥)"));
+        let (w_other, b_other) = spelled_views(&step("w", false, false));
+        assert_ne!(w, w_other);
+        assert_eq!(b.replace("B1", "B0"), b_other);
     }
 
     #[test]
@@ -1028,31 +1260,45 @@ mod tests {
     fn checker_emits_bracketed_spans_per_round() {
         use minobs_obs::{MemoryRecorder, TraceEvent};
         let k = 3;
-        let mut rec = MemoryRecorder::new();
-        solvable_by_with_recorder(&classic::c1(), k, &gamma(), &mut rec);
+        // C1 is solvable at 3 (no chain to extract); R1 is not.
+        for (scheme, decide_children) in [
+            (classic::c1(), &["checker_uf"][..]),
+            (classic::r1(), &["checker_uf", "checker_chain"][..]),
+        ] {
+            let mut rec = MemoryRecorder::new();
+            solvable_by_with_recorder(&scheme, k, &gamma(), &mut rec);
 
-        let mut stack: Vec<u64> = Vec::new();
-        let mut seen_ids = std::collections::BTreeSet::new();
-        let mut names = Vec::new();
-        for event in rec.events() {
-            match event {
-                TraceEvent::SpanStart { span_id, name, .. } => {
-                    assert!(seen_ids.insert(*span_id), "span ids must be unique");
-                    stack.push(*span_id);
-                    names.push(name.clone());
+            let mut stack: Vec<u64> = Vec::new();
+            let mut seen_ids = std::collections::BTreeSet::new();
+            let mut names = Vec::new();
+            for event in rec.events() {
+                match event {
+                    TraceEvent::SpanStart {
+                        span_id,
+                        parent,
+                        name,
+                        ..
+                    } => {
+                        assert!(seen_ids.insert(*span_id), "span ids must be unique");
+                        assert_eq!(*parent, stack.last().copied(), "{name} names its parent");
+                        stack.push(*span_id);
+                        // Indent by depth so the list shows the nesting.
+                        names.push(format!("{}{name}", "  ".repeat(stack.len() - 1)));
+                    }
+                    TraceEvent::SpanEnd { span_id, .. } => {
+                        assert_eq!(stack.pop(), Some(*span_id), "spans must nest");
+                    }
+                    _ => {}
                 }
-                TraceEvent::SpanEnd { span_id, .. } => {
-                    assert_eq!(stack.pop(), Some(*span_id), "spans must nest");
-                }
-                _ => {}
             }
+            assert!(stack.is_empty(), "all spans closed");
+            let expected: Vec<String> = (0..k)
+                .flat_map(|_| ["checker_expand".to_string(), "checker_dedup".to_string()])
+                .chain(["checker_decide".to_string()])
+                .chain(decide_children.iter().map(|name| format!("  {name}")))
+                .collect();
+            assert_eq!(names, expected, "{}", scheme.name());
         }
-        assert!(stack.is_empty(), "all spans closed");
-        let expected: Vec<String> = (0..k)
-            .flat_map(|_| ["checker_expand".to_string(), "checker_dedup".to_string()])
-            .chain(["checker_decide".to_string()])
-            .collect();
-        assert_eq!(names, expected);
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! every later round, the pair (its previous view, the peer view it
 //! received — or `⊥`). Structurally equal views get the same [`ViewId`],
 //! so "the process cannot distinguish two executions" becomes id equality.
+//!
+//! A round-`r` view is keyed by round-`(r−1)` ids, so no key of one round
+//! can equal a key of another: [`ViewArena::next_round`] drops the intern
+//! table between rounds while ids keep counting up, and the arena holds
+//! only the current round's keys.
 
 use minobs_core::letter::Role;
 use std::collections::HashMap;
@@ -31,11 +36,25 @@ pub enum ViewKey {
     },
 }
 
-/// The intern table.
+impl ViewKey {
+    /// Twelve bytes a table entry, with the id, instead of sixteen: a
+    /// base view packs as `(u32::MAX, role·2 + input)`, which no extended
+    /// view can equal since no id reaches `u32::MAX`; `None` packs as
+    /// `u32::MAX`.
+    fn pack(self) -> (u32, u32) {
+        match self {
+            ViewKey::Base { role, input } => (u32::MAX, 2 * role as u32 + input as u32),
+            ViewKey::Extend { prev, received } => (prev.0, received.map_or(u32::MAX, |v| v.0)),
+        }
+    }
+}
+
+/// The intern table: ids are assigned in first-seen order and never
+/// reused; the keys are kept for the current round only.
 #[derive(Debug, Default)]
 pub struct ViewArena {
-    ids: HashMap<ViewKey, ViewId>,
-    keys: Vec<ViewKey>,
+    ids: HashMap<(u32, u32), ViewId>,
+    len: u32,
 }
 
 impl ViewArena {
@@ -46,12 +65,13 @@ impl ViewArena {
 
     /// Interns a key.
     pub fn intern(&mut self, key: ViewKey) -> ViewId {
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
+        let next = ViewId(self.len);
+        let id = *self.ids.entry(key.pack()).or_insert(next);
+        if id == next {
+            // `pack` needs every id below `u32::MAX`.
+            assert!(self.len < u32::MAX - 1, "view ids exhausted");
+            self.len += 1;
         }
-        let id = ViewId(self.keys.len() as u32);
-        self.keys.push(key);
-        self.ids.insert(key, id);
         id
     }
 
@@ -65,45 +85,22 @@ impl ViewArena {
         self.intern(ViewKey::Extend { prev, received })
     }
 
-    /// The key of an id.
-    pub fn key(&self, id: ViewId) -> ViewKey {
-        self.keys[id.0 as usize]
+    /// Forgets the current round's keys before the next round is
+    /// interned, sizing the table for `expected` new views so it need not
+    /// grow (and hold its old copy) mid-round. Ids already handed out
+    /// stay valid and are not reused.
+    pub fn next_round(&mut self, expected: usize) {
+        self.ids = HashMap::with_capacity(expected);
     }
 
-    /// Number of distinct views interned.
+    /// Number of distinct views interned, over all rounds.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len as usize
     }
 
     /// `true` iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Walks back to the base of a view: `(role, input)`.
-    pub fn origin(&self, id: ViewId) -> (Role, bool) {
-        let mut cur = id;
-        loop {
-            match self.key(cur) {
-                ViewKey::Base { role, input } => return (role, input),
-                ViewKey::Extend { prev, .. } => cur = prev,
-            }
-        }
-    }
-
-    /// The round of a view (number of `Extend` layers).
-    pub fn round(&self, id: ViewId) -> usize {
-        let mut cur = id;
-        let mut depth = 0;
-        loop {
-            match self.key(cur) {
-                ViewKey::Base { .. } => return depth,
-                ViewKey::Extend { prev, .. } => {
-                    cur = prev;
-                    depth += 1;
-                }
-            }
-        }
+        self.len == 0
     }
 }
 
@@ -134,15 +131,18 @@ mod tests {
     }
 
     #[test]
-    fn origin_and_round_walk_back() {
+    fn ids_keep_counting_across_rounds() {
         let mut arena = ViewArena::new();
         let w = arena.base(Role::White, true);
         let b = arena.base(Role::Black, false);
+        arena.next_round(0);
         let v1 = arena.extend(w, Some(b));
+        assert_eq!(v1, ViewId(2));
+        assert_eq!(arena.extend(w, Some(b)), v1, "dedup within a round");
+        arena.next_round(0);
         let v2 = arena.extend(v1, None);
-        assert_eq!(arena.origin(v2), (Role::White, true));
-        assert_eq!(arena.round(v2), 2);
-        assert_eq!(arena.round(w), 0);
+        assert_eq!(v2, ViewId(3));
+        assert_eq!(arena.len(), 4);
     }
 
     #[test]

@@ -6,11 +6,11 @@ use minobs_core::prelude::*;
 use minobs_synth::checker::{gamma_alphabet, solvable_by, solvable_by_par, CheckResult};
 
 #[test]
-#[ignore = "scale test: 3^9 executions through the checker"]
+#[ignore = "scale test: 3^10 executions through the checker"]
 fn checker_deep_horizon_chain_formula() {
-    // The bivalency chain formula 2·3^k + 1, pushed to k = 9
-    // (19 683 prefixes × 4 input pairs ≈ 79k executions).
-    for k in [7usize, 8, 9] {
+    // The bivalency chain formula 2·3^k + 1, pushed to k = 10
+    // (59 049 prefixes × 4 input pairs ≈ 236k executions).
+    for k in 7usize..=10 {
         let CheckResult::Unsolvable { chain } = solvable_by(&classic::r1(), k, &gamma_alphabet())
         else {
             panic!("R1 is an obstruction");
