@@ -349,7 +349,7 @@ mod tests {
     fn a_divergent_key_flips_exactly_its_shard() {
         let base = vec![entry("p|3", Some(1), Some(4)), entry("q|2", None, Some(2))];
         let mut tightened = base.clone();
-        tightened[0].1.record(3, true); // min_solvable 4 -> 3
+        tightened[0].1.merge(3, true); // min_solvable 4 -> 3
         let diff = mismatched(&fingerprints(&base), &fingerprints(&tightened));
         assert_eq!(diff, vec![shard_of("p|3")]);
     }

@@ -6,8 +6,15 @@
 //! queries plus the memoised Theorem III.8 verdict for `solvable`.
 //! Sharding keeps lock hold times to a hash-map probe — workers never
 //! hold a shard lock while the checker runs, so concurrent misses on the
-//! same key may race to compute; both then record the same (definite,
-//! order-independent) verdict.
+//! same key may race to compute; the first to record applies its
+//! verdict and the rest find it implied.
+//!
+//! Every write — a worker's fresh verdict, a gossiped delta, a replayed
+//! WAL record — goes through [`VerdictCache::record_horizon`] or
+//! [`VerdictCache::record_theorem`], which decide and apply one
+//! [`Merge`] under a single shard-lock acquisition: horizons by
+//! [`HorizonVerdicts::merge`], theorems by equality (absent → applied,
+//! equal → implied, different → contradiction).
 //!
 //! Every lookup feeds one of three registry counters: `svc.cache_hits`
 //! (answered at the exact recorded horizon), `svc.cache_subsumptions`
@@ -15,7 +22,7 @@
 //! `svc.cache_misses`.
 
 use minobs_obs::{Counter, MetricsRegistry};
-use minobs_synth::cache::{CacheAnswer, HorizonVerdicts};
+use minobs_synth::cache::{CacheAnswer, HorizonVerdicts, Merge};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -74,13 +81,14 @@ impl VerdictCache {
         answer
     }
 
-    /// Records a definite horizon verdict for `key`.
-    pub fn record_horizon(&self, key: &str, k: usize, solvable: bool) {
+    /// Merges a definite horizon verdict for `key`; a contradiction
+    /// leaves the entry unchanged.
+    pub fn record_horizon(&self, key: &str, k: usize, solvable: bool) -> Merge {
         self.shard(key)
             .entry(key.to_string())
             .or_default()
             .verdicts
-            .record(k, solvable);
+            .merge(k, solvable)
     }
 
     /// The memoised Theorem III.8 result for `key`, counting hit/miss.
@@ -94,9 +102,19 @@ impl VerdictCache {
         cached
     }
 
-    /// Memoises a Theorem III.8 result for `key`.
-    pub fn record_theorem(&self, key: &str, result: Value) {
-        self.shard(key).entry(key.to_string()).or_default().theorem = Some(result);
+    /// Memoises a Theorem III.8 result for `key`. A memo never changes:
+    /// an equal one is implied, a different one a contradiction.
+    pub fn record_theorem(&self, key: &str, result: Value) -> Merge {
+        let mut shard = self.shard(key);
+        let theorem = &mut shard.entry(key.to_string()).or_default().theorem;
+        match theorem {
+            Some(existing) if *existing == result => Merge::Implied,
+            Some(_) => Merge::Contradiction,
+            None => {
+                *theorem = Some(result);
+                Merge::Applied
+            }
+        }
     }
 
     /// Number of cached scheme keys across all shards.
@@ -167,5 +185,63 @@ mod tests {
         );
         assert_eq!(registry.counter("svc.cache_hits").get(), 1);
         assert_eq!(registry.counter("svc.cache_misses").get(), 1);
+    }
+
+    #[test]
+    fn theorem_memos_never_change() {
+        let cache = VerdictCache::new(&MetricsRegistry::new());
+        let key = "classic:r1|theorem";
+        assert_eq!(cache.record_theorem(key, Value::from(false)), Merge::Applied);
+        assert_eq!(cache.record_theorem(key, Value::from(false)), Merge::Implied);
+        assert_eq!(
+            cache.record_theorem(key, Value::from(true)),
+            Merge::Contradiction
+        );
+        assert_eq!(cache.snapshot()[0].2, Some(Value::from(false)));
+    }
+
+    #[test]
+    fn concurrent_contradicting_merges_keep_one_key_consistent() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        // Ground truth: solvable exactly from horizon 5. Every thread
+        // merges all true verdicts at 0..12 plus a seeded handful of
+        // false ones, in its own shuffled order, into the same key.
+        const THRESHOLD: usize = 5;
+        const HORIZONS: usize = 12;
+        for seed in 0..16u64 {
+            let cache = VerdictCache::new(&MetricsRegistry::new());
+            std::thread::scope(|scope| {
+                for thread in 0..4u64 {
+                    let cache = &cache;
+                    scope.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(seed * 4 + thread);
+                        let mut deltas: Vec<(usize, bool)> =
+                            (0..HORIZONS).map(|k| (k, k >= THRESHOLD)).collect();
+                        for _ in 0..4 {
+                            let k = rng.random_below(HORIZONS);
+                            deltas.push((k, k < THRESHOLD));
+                        }
+                        deltas.shuffle(&mut rng);
+                        for (k, solvable) in deltas {
+                            cache.record_horizon("k|a", k, solvable);
+                        }
+                    });
+                }
+            });
+            let verdicts = cache.snapshot()[0].1;
+            assert_eq!(
+                HorizonVerdicts::from_boundaries(verdicts.min_solvable(), verdicts.max_unsolvable()),
+                Some(verdicts),
+                "seed {seed}"
+            );
+            // Every horizon was offered at least its true verdict, so no
+            // gap can be left between the boundaries.
+            for k in 0..HORIZONS {
+                assert!(verdicts.lookup(k).is_some(), "seed {seed} horizon {k}");
+            }
+        }
     }
 }

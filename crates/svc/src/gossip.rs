@@ -5,13 +5,13 @@
 //! protocol (two `gossip` RPCs, see `minobs_cluster::digest`): compare
 //! per-shard fingerprints, then ship both sides' deltas for the shards
 //! that disagree. Inbound deltas — whether this node initiated or the
-//! peer did — go through [`ingest_deltas`], which cross-validates each
-//! record against the live cache exactly like WAL replay does: records
-//! already implied by the cache are skipped, records that would
-//! *contradict* an established bound are rejected (and counted), and
-//! only genuinely new knowledge reaches `record_horizon` /
-//! `record_theorem` — landing in both the cache and the local WAL, so a
-//! replicated verdict survives a restart like a local one.
+//! peer did — go through [`ingest_deltas`], which merges each record
+//! by the cache's one merge rule, the same one WAL replay and workers
+//! use: records already implied by the cache are skipped, records that
+//! would *contradict* an established bound are rejected (and counted),
+//! and only genuinely new knowledge is applied — landing in both the
+//! cache and the local WAL, so a replicated verdict survives a restart
+//! like a local one.
 //!
 //! Convergence is a semilattice join: bounds only tighten and theorems
 //! never change, so exchanges are idempotent and order-free, and after a
@@ -29,6 +29,7 @@ use crate::server::ServerState;
 use minobs_cluster::digest::{self, Delta, GossipBody};
 use minobs_cluster::{LinkPolicy, LinkVerdict};
 use minobs_obs::{stamp_root_span, MemoryRecorder, SpanGuard, SpanIds, TraceContext};
+use minobs_synth::cache::Merge;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -188,44 +189,34 @@ fn exchange(
     Ok(())
 }
 
-/// Ingests replicated deltas, cross-validating each against the live
-/// cache first. Returns how many were genuinely new and applied.
+/// Ingests replicated deltas, one [`ServerState::record_horizon`] /
+/// [`ServerState::record_theorem`] merge each. Returns how many were
+/// genuinely new and applied.
 ///
-/// The validation mirrors WAL replay's: a delta the cache already
-/// implies (same verdict, exact or subsumed) is skipped silently; a
-/// delta that *contradicts* an established bound or an existing theorem
-/// memo is rejected and counted (`gossip_apply` with `accepted: false`,
-/// `svc.gossip_rejected`) — a hostile or corrupt peer cannot plant a
-/// contradiction. Only gap-filling records reach `record_horizon` /
-/// `record_theorem`, which feed the cache *and* the local WAL.
+/// A delta the cache already implies (same verdict, exact or subsumed,
+/// or an equal theorem memo) is skipped silently; one that
+/// *contradicts* an established bound or memo is rejected and counted
+/// (`gossip_apply` with `accepted: false`, `svc.gossip_rejected`) — a
+/// hostile or corrupt peer cannot plant a contradiction. Applied deltas
+/// land in the cache *and* the local WAL.
 pub(crate) fn ingest_deltas(state: &ServerState, peer: &str, deltas: &[Delta]) -> u64 {
     let mut applied = 0u64;
     for delta in deltas {
-        match delta {
+        let (kind, key, merge) = match delta {
             Delta::Horizon { key, k, solvable } => {
-                match state.cache().lookup_horizon(key, *k) {
-                    Some(answer) if answer.solvable() != *solvable => {
-                        state.on_gossip_apply(peer, "horizon", key, false);
-                    }
-                    Some(_) => {}
-                    None => {
-                        state.record_horizon(key, *k, *solvable);
-                        state.on_gossip_apply(peer, "horizon", key, true);
-                        applied += 1;
-                    }
-                }
+                ("horizon", key, state.record_horizon(key, *k, *solvable))
             }
-            Delta::Theorem { key, result } => match state.cache().lookup_theorem(key) {
-                Some(existing) if existing != *result => {
-                    state.on_gossip_apply(peer, "theorem", key, false);
-                }
-                Some(_) => {}
-                None => {
-                    state.record_theorem(key, result.clone());
-                    state.on_gossip_apply(peer, "theorem", key, true);
-                    applied += 1;
-                }
-            },
+            Delta::Theorem { key, result } => {
+                ("theorem", key, state.record_theorem(key, result.clone()))
+            }
+        };
+        match merge {
+            Merge::Applied => {
+                state.on_gossip_apply(peer, kind, key, true);
+                applied += 1;
+            }
+            Merge::Implied => {}
+            Merge::Contradiction => state.on_gossip_apply(peer, kind, key, false),
         }
     }
     applied
@@ -371,6 +362,41 @@ mod tests {
         let registry = state.registry();
         assert_eq!(registry.counter("svc.gossip_applied").get(), 2);
         assert_eq!(registry.counter("svc.gossip_rejected").get(), 2);
+
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn ingest_leaves_client_cache_counters_alone() {
+        let server = serve(SvcConfig::default()).unwrap();
+        let state = server.state();
+        state.record_horizon("k|a", 4, true);
+        state.record_theorem("k|t", Value::from(true));
+        let counters = ["svc.cache_hits", "svc.cache_misses", "svc.cache_subsumptions"];
+        let read = || counters.map(|name| state.registry().counter(name).get());
+        let before = read();
+
+        let horizon = |k, solvable| Delta::Horizon {
+            key: "k|a".to_string(),
+            k,
+            solvable,
+        };
+        let theorem = |key: &str, result: bool| Delta::Theorem {
+            key: key.to_string(),
+            result: Value::from(result),
+        };
+        let deltas = vec![
+            horizon(4, true),  // exact
+            horizon(7, true),  // subsumed
+            horizon(6, false), // contradiction
+            horizon(2, false), // new
+            theorem("k|t", true),
+            theorem("k|t", false),
+            theorem("k|u", false),
+        ];
+        assert_eq!(ingest_deltas(state, "peer:1", &deltas), 2);
+        assert_eq!(read(), before);
 
         server.shutdown();
         server.join();

@@ -26,6 +26,7 @@ use minobs_obs::{
     JsonlSink, MemoryRecorder, MetricsRecorder, MetricsRegistry, Recorder, SpanGuard, SpanIds,
     TraceContext, TraceEvent,
 };
+use minobs_synth::cache::Merge;
 use serde_json::Value;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
@@ -429,25 +430,34 @@ impl ServerState {
         }
     }
 
-    /// Records a definite horizon verdict in the cache *and* the WAL.
-    /// Method handlers call this instead of touching the cache directly,
-    /// so every fresh verdict survives a restart.
-    pub fn record_horizon(&self, key: &str, k: usize, solvable: bool) {
-        self.cache.record_horizon(key, k, solvable);
-        self.append_wal(&WalRecord::Horizon {
-            key: key.to_string(),
-            k,
-            solvable,
-        });
+    /// Merges a definite horizon verdict into the cache and, when it
+    /// is new ([`Merge::Applied`]), appends it to the WAL. Method
+    /// handlers and gossip call this instead of touching the cache
+    /// directly, so every new verdict survives a restart and an implied
+    /// or contradicting one never reaches the log.
+    pub fn record_horizon(&self, key: &str, k: usize, solvable: bool) -> Merge {
+        let merge = self.cache.record_horizon(key, k, solvable);
+        if merge == Merge::Applied {
+            self.append_wal(&WalRecord::Horizon {
+                key: key.to_string(),
+                k,
+                solvable,
+            });
+        }
+        merge
     }
 
-    /// Memoises a Theorem III.8 result in the cache *and* the WAL.
-    pub fn record_theorem(&self, key: &str, result: Value) {
-        self.cache.record_theorem(key, result.clone());
-        self.append_wal(&WalRecord::Theorem {
-            key: key.to_string(),
-            result,
-        });
+    /// Memoises a Theorem III.8 result like [`ServerState::record_horizon`]:
+    /// the WAL sees it only when it is new.
+    pub fn record_theorem(&self, key: &str, result: Value) -> Merge {
+        let merge = self.cache.record_theorem(key, result.clone());
+        if merge == Merge::Applied {
+            self.append_wal(&WalRecord::Theorem {
+                key: key.to_string(),
+                result,
+            });
+        }
+        merge
     }
 
     /// What startup replay found, when persistence is configured.
@@ -1145,5 +1155,84 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Receiver<Job>) {
             Err(e) => wire::err_response(job.request.id, e.code, &e.message),
         };
         let _ = job.reply.send(reply);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::ReplayReport;
+    use std::path::Path;
+
+    /// A socket-free state persisting to a fresh log under `name`.
+    fn state_with_wal(name: &str) -> (ServerState, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("minobs-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("verdicts.wal");
+        let _ = std::fs::remove_file(&path);
+        let config = SvcConfig {
+            wal_path: Some(path.clone()),
+            ..SvcConfig::default()
+        };
+        let state = ServerState::new(&config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        assert!(state.wal_active());
+        (state, path)
+    }
+
+    fn wal_appends(state: &ServerState) -> u64 {
+        state.registry().counter("svc.wal_appends").get()
+    }
+
+    /// What a fresh process would replay from the log at `path`.
+    fn replayed(path: &Path) -> ReplayReport {
+        let cache = VerdictCache::new(&MetricsRegistry::new());
+        Wal::open(path, &cache, CompactionPolicy::default()).unwrap().1
+    }
+
+    #[test]
+    fn only_applied_verdicts_reach_the_wal() {
+        let (state, path) = state_with_wal("merge-wal");
+        assert_eq!(state.record_horizon("k|a", 4, true), Merge::Applied);
+        assert_eq!(wal_appends(&state), 1);
+        // Implied (exact and subsumed) and contradicting verdicts.
+        assert_eq!(state.record_horizon("k|a", 4, true), Merge::Implied);
+        assert_eq!(state.record_horizon("k|a", 6, true), Merge::Implied);
+        assert_eq!(state.record_horizon("k|a", 5, false), Merge::Contradiction);
+        assert_eq!(wal_appends(&state), 1);
+
+        assert_eq!(state.record_theorem("k|t", Value::from(1u64)), Merge::Applied);
+        assert_eq!(state.record_theorem("k|t", Value::from(1u64)), Merge::Implied);
+        assert_eq!(
+            state.record_theorem("k|t", Value::from(2u64)),
+            Merge::Contradiction
+        );
+        assert_eq!(wal_appends(&state), 2);
+
+        drop(state);
+        let report = replayed(&path);
+        assert_eq!((report.records, report.dropped_tail), (2, false));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn budget_exhaustion_is_never_recorded() {
+        let (state, path) = state_with_wal("budget-wal");
+        let request = Request {
+            id: 1,
+            method: "check_horizon".to_string(),
+            params: serde_json::from_str(r#"{"scheme":"r1","horizon":8,"max_states":2}"#)
+                .unwrap(),
+            ctx: None,
+        };
+        let (result, _) = methods::handle(&state, &request);
+        let reply = result.unwrap();
+        assert_eq!(reply.get("solvable"), Some(&Value::Null));
+        assert!(reply.get("budget_exhausted").is_some(), "{reply:?}");
+        assert_eq!(state.cache().entries(), 0);
+        assert_eq!(wal_appends(&state), 0);
+
+        drop(state);
+        assert_eq!(replayed(&path).records, 0);
+        let _ = std::fs::remove_file(&path);
     }
 }

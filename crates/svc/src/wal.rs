@@ -21,13 +21,14 @@
 //!
 //! ## Recovery semantics
 //!
-//! Replay consumes the longest valid prefix. The first record that is
-//! truncated, fails its checksum, parses to garbage, or contradicts the
-//! monotone boundaries already replayed ends the replay — the tail is
-//! *dropped, never served*: a half-written crash tail can lose the last
-//! verdicts, but can never produce a wrong one. The file is truncated
-//! back to the valid prefix before appending resumes, so a torn tail
-//! does not corrupt post-restart records.
+//! Replay consumes the longest valid prefix, merging each record into
+//! the cache by [`VerdictCache`]'s one merge rule. The first record that
+//! is truncated, fails its checksum, parses to garbage, or contradicts
+//! what is already merged (a different bound or theorem) ends the
+//! replay — the tail is *dropped, never served*: a half-written crash
+//! tail can lose the last verdicts, but can never produce a wrong one.
+//! The file is truncated back to the valid prefix before appending
+//! resumes, so a torn tail does not corrupt post-restart records.
 //!
 //! ## Compaction
 //!
@@ -48,7 +49,7 @@
 //! event is emitted, but queries keep answering.
 
 use crate::cache::VerdictCache;
-use minobs_synth::cache::HorizonVerdicts;
+use minobs_synth::cache::{HorizonVerdicts, Merge};
 use serde_json::{Map, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
@@ -299,7 +300,7 @@ pub struct CompactionStats {
 /// The outcome of replaying a log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Records applied to the cache.
+    /// Valid records consumed, whether they applied or were implied.
     pub records: u64,
     /// Bytes of valid log consumed, magic included.
     pub bytes: u64,
@@ -309,8 +310,9 @@ pub struct ReplayReport {
 
 /// Replays framed records from `bytes` (magic included) into `cache`.
 ///
-/// Stops at the first truncated, checksum-failing, unparsable, or
-/// monotonicity-contradicting record; everything after it is reported
+/// Each record merges straight into the cache by the cache's one merge
+/// rule. Replay stops at the first truncated, checksum-failing,
+/// unparsable, or contradicting record; everything after it is reported
 /// as a dropped tail. Never fails: a WAL that is garbage from byte 0
 /// simply replays 0 records.
 pub fn replay_bytes(bytes: &[u8], cache: &VerdictCache) -> ReplayReport {
@@ -319,19 +321,9 @@ pub fn replay_bytes(bytes: &[u8], cache: &VerdictCache) -> ReplayReport {
         report.dropped_tail = !bytes.is_empty();
         return report;
     }
-    // Verdicts are validated against a local view before touching the
-    // shared cache, so a corrupt-but-checksummed record can never plant
-    // a contradiction (and `HorizonVerdicts::record`'s monotonicity
-    // debug-assert can never trip on hostile input).
-    let mut staged: std::collections::HashMap<String, (HorizonVerdicts, Option<Value>)> =
-        std::collections::HashMap::new();
     let mut offset = MAGIC.len();
-    loop {
-        let remaining = &bytes[offset..];
-        if remaining.is_empty() {
-            break;
-        }
-        let Some(consumed) = decode_into(remaining, &mut staged) else {
+    while offset < bytes.len() {
+        let Some(consumed) = decode_into(&bytes[offset..], cache) else {
             report.dropped_tail = true;
             break;
         };
@@ -339,26 +331,15 @@ pub fn replay_bytes(bytes: &[u8], cache: &VerdictCache) -> ReplayReport {
         report.records += 1;
     }
     report.bytes = offset as u64;
-    for (key, (verdicts, theorem)) in staged {
-        if let Some(k) = verdicts.min_solvable() {
-            cache.record_horizon(&key, k, true);
-        }
-        if let Some(k) = verdicts.max_unsolvable() {
-            cache.record_horizon(&key, k, false);
-        }
-        if let Some(result) = theorem {
-            cache.record_theorem(&key, result);
-        }
-    }
     report
 }
 
-/// Decodes and stages one frame from the head of `bytes`; `None` on any
-/// form of corruption (the caller stops there).
-fn decode_into(
-    bytes: &[u8],
-    staged: &mut std::collections::HashMap<String, (HorizonVerdicts, Option<Value>)>,
-) -> Option<usize> {
+/// Decodes one frame from the head of `bytes` and merges it into
+/// `cache`; `None` on any form of corruption, a contradiction included
+/// (verdicts are theorems), and the caller stops there. A snapshot's
+/// parts merge in order, so one that contradicts part-way keeps the
+/// parts before the contradiction.
+fn decode_into(bytes: &[u8], cache: &VerdictCache) -> Option<usize> {
     if bytes.len() < 8 {
         return None;
     }
@@ -376,39 +357,24 @@ fn decode_into(
         return None;
     }
     let value: Value = serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?;
-    let record = WalRecord::from_json(&value)?;
-    let entry = staged.entry(record.key().to_string()).or_default();
-    match record {
-        WalRecord::Horizon { k, solvable, .. } => {
-            // A delta that contradicts the boundaries replayed so far is
-            // corruption (verdicts are theorems); reject the record.
-            if entry.0.lookup(k).is_some_and(|a| a.solvable() != solvable) {
-                return None;
-            }
-            entry.0.record(k, solvable);
-        }
-        WalRecord::Theorem { result, .. } => entry.1 = Some(result),
+    let agrees = |merge: Merge| merge != Merge::Contradiction;
+    let consistent = match WalRecord::from_json(&value)? {
+        WalRecord::Horizon { key, k, solvable } => agrees(cache.record_horizon(&key, k, solvable)),
+        WalRecord::Theorem { key, result } => agrees(cache.record_theorem(&key, result)),
         WalRecord::Snapshot {
-            verdicts, theorem, ..
+            key,
+            verdicts,
+            theorem,
         } => {
-            if let Some(k) = verdicts.min_solvable() {
-                if entry.0.lookup(k).is_some_and(|a| !a.solvable()) {
-                    return None;
-                }
-                entry.0.record(k, true);
-            }
-            if let Some(k) = verdicts.max_unsolvable() {
-                if entry.0.lookup(k).is_some_and(|a| a.solvable()) {
-                    return None;
-                }
-                entry.0.record(k, false);
-            }
-            if theorem.is_some() {
-                entry.1 = theorem;
-            }
+            let bounds = [(verdicts.min_solvable(), true), (verdicts.max_unsolvable(), false)];
+            bounds
+                .into_iter()
+                .filter_map(|(k, solvable)| Some((k?, solvable)))
+                .all(|(k, solvable)| agrees(cache.record_horizon(&key, k, solvable)))
+                && theorem.is_none_or(|result| agrees(cache.record_theorem(&key, result)))
         }
-    }
-    Some(end)
+    };
+    consistent.then_some(end)
 }
 
 /// An open write-ahead log.
@@ -619,8 +585,8 @@ mod tests {
                 key: "classic:r1|gamma".to_string(),
                 verdicts: {
                     let mut v = HorizonVerdicts::new();
-                    v.record(2, false);
-                    v.record(5, true);
+                    v.merge(2, false);
+                    v.merge(5, true);
                     v
                 },
                 theorem: None,
@@ -729,6 +695,26 @@ mod tests {
         assert_eq!(report.records, 1);
         assert!(report.dropped_tail);
         assert_eq!(cache.snapshot()[0].1.min_solvable(), Some(3));
+    }
+
+    #[test]
+    fn differing_theorem_record_ends_replay_and_keeps_the_first() {
+        let file = MemoryWalFile::new();
+        let mut wal =
+            Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        for result in [true, false] {
+            wal.append(&WalRecord::Theorem {
+                key: "a|theorem".to_string(),
+                result: Value::from(result),
+            })
+            .unwrap();
+        }
+        wal.flush().unwrap();
+        let cache = cache();
+        let report = replay_bytes(&file.bytes(), &cache);
+        assert_eq!(report.records, 1);
+        assert!(report.dropped_tail);
+        assert_eq!(cache.snapshot()[0].2, Some(Value::from(true)));
     }
 
     #[test]

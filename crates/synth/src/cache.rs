@@ -1,4 +1,4 @@
-//! Monotone horizon-verdict caching for the bounded checker.
+//! Monotone horizon verdicts and the one rule for merging them.
 //!
 //! Solvability at a fixed horizon is monotone in the horizon: a round-`k`
 //! algorithm also decides (by ignoring later rounds' information) at any
@@ -6,7 +6,7 @@
 //! allowed `k`-prefix extends to an allowed `k'`-prefix within the same
 //! scheme. Dually, unsolvability propagates downward: if no decision map
 //! exists on round-`k` views, none exists on the coarser round-`k'` views
-//! for `k' ≤ k`. (The vacuous [`CheckResult::Empty`] verdict — no allowed
+//! for `k' ≤ k`. (The vacuous `CheckResult::Empty` verdict — no allowed
 //! prefix of length `k` at all — is upward-monotone too, since `Pref(L)`
 //! is prefix-closed.)
 //!
@@ -14,17 +14,17 @@
 //! horizons — the smallest known-solvable and the largest known-unsolvable
 //! — and answers every query at or beyond a boundary by *subsumption*
 //! instead of re-running the exponential full-information construction.
-//! [`solvable_by_cached`] and [`first_solvable_horizon_cached`] are the
-//! cache-aware entry points; the `minobs-svc` daemon shards many
-//! `HorizonVerdicts` values behind canonical scheme keys.
+//!
+//! Every incoming verdict is therefore new, implied or a contradiction,
+//! and [`HorizonVerdicts::merge`] is the only way to add one: it tightens
+//! a boundary ([`Merge::Applied`]), leaves the summary alone when the
+//! boundaries already imply the verdict ([`Merge::Implied`]), or refuses
+//! it unchanged ([`Merge::Contradiction`]) — in every build. The
+//! `minobs-svc` daemon shards many `HorizonVerdicts` values behind
+//! canonical scheme keys and routes WAL replay, gossip and its workers
+//! through this rule under the shard lock.
 
-use minobs_core::prelude::Letter;
-use minobs_core::scheme::OmissionScheme;
 use serde_json::{Map, Value};
-
-use crate::checker::{
-    solvable_by_budgeted, Budget, CheckResult, HorizonOutcome,
-};
 
 /// The monotone verdict summary for one (scheme, alphabet) pair.
 ///
@@ -36,6 +36,17 @@ use crate::checker::{
 pub struct HorizonVerdicts {
     min_solvable: Option<usize>,
     max_unsolvable: Option<usize>,
+}
+
+/// How a verdict merged into what was already known.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// New knowledge: a boundary tightened, or a memo was stored.
+    Applied,
+    /// Already known: the recorded verdicts imply it.
+    Implied,
+    /// Refused: it contradicts a recorded verdict, which stays as it was.
+    Contradiction,
 }
 
 /// How a cached lookup answered.
@@ -91,32 +102,23 @@ impl HorizonVerdicts {
         self.min_solvable.is_none() && self.max_unsolvable.is_none()
     }
 
-    /// Records a definite verdict for horizon `k`, tightening the
-    /// matching boundary. Only definite verdicts may be recorded —
+    /// Merges a definite verdict for horizon `k`: [`Merge::Implied`]
+    /// when [`HorizonVerdicts::lookup`] already gives it,
+    /// [`Merge::Contradiction`] (summary unchanged) when it gives the
+    /// opposite, and otherwise [`Merge::Applied`] after tightening the
+    /// matching boundary. Only definite verdicts may be merged —
     /// budget-exhausted partial answers must not reach here.
-    ///
-    /// # Panics
-    /// In debug builds, when the new verdict contradicts monotonicity
-    /// (recording `solvable@k` with `k ≤ max_unsolvable`, or vice versa)
-    /// — the caller mixed verdicts from different schemes.
-    pub fn record(&mut self, k: usize, solvable: bool) {
-        if solvable {
-            debug_assert!(
-                self.max_unsolvable.is_none_or(|m| m < k),
-                "solvable@{k} contradicts unsolvable@{:?}",
-                self.max_unsolvable
-            );
-            if self.min_solvable.is_none_or(|m| k < m) {
-                self.min_solvable = Some(k);
-            }
-        } else {
-            debug_assert!(
-                self.min_solvable.is_none_or(|m| k < m),
-                "unsolvable@{k} contradicts solvable@{:?}",
-                self.min_solvable
-            );
-            if self.max_unsolvable.is_none_or(|m| k > m) {
-                self.max_unsolvable = Some(k);
+    pub fn merge(&mut self, k: usize, solvable: bool) -> Merge {
+        match self.lookup(k) {
+            Some(answer) if answer.solvable() == solvable => Merge::Implied,
+            Some(_) => Merge::Contradiction,
+            None => {
+                if solvable {
+                    self.min_solvable = Some(k);
+                } else {
+                    self.max_unsolvable = Some(k);
+                }
+                Merge::Applied
             }
         }
     }
@@ -193,98 +195,27 @@ impl HorizonVerdicts {
     }
 }
 
-/// Result of a cache-aware horizon check.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CachedCheck {
-    /// The cache answered without running the checker.
-    Cached(CacheAnswer),
-    /// The checker ran; its verdict (when definite) is now recorded.
-    Fresh(CheckResult),
-}
-
-impl CachedCheck {
-    /// The verdict, when one exists. `None` only for a fresh
-    /// budget-exhausted result.
-    pub fn solvable(&self) -> Option<bool> {
-        match self {
-            CachedCheck::Cached(answer) => Some(answer.solvable()),
-            CachedCheck::Fresh(CheckResult::BudgetExhausted { .. }) => None,
-            CachedCheck::Fresh(result) => Some(result.is_solvable()),
-        }
-    }
-}
-
-/// [`solvable_by_budgeted`] through a [`HorizonVerdicts`] summary: a
-/// boundary at or beyond `k` answers immediately, otherwise the checker
-/// runs and its definite verdict tightens the summary.
-pub fn solvable_by_cached(
-    scheme: &dyn OmissionScheme,
-    k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-    cache: &mut HorizonVerdicts,
-) -> CachedCheck {
-    if let Some(answer) = cache.lookup(k) {
-        return CachedCheck::Cached(answer);
-    }
-    let result = solvable_by_budgeted(scheme, k, alphabet, budget);
-    if !matches!(result, CheckResult::BudgetExhausted { .. }) {
-        cache.record(k, result.is_solvable());
-    }
-    CachedCheck::Fresh(result)
-}
-
-/// [`crate::checker::first_solvable_horizon_budgeted`] through a
-/// [`HorizonVerdicts`] summary.
-///
-/// The sweep starts just above the known-unsolvable boundary and stops
-/// at the known-solvable boundary (which caps the answer from above), so
-/// a warm cache skips both tails. Unlike the uncached sweep, `budget`
-/// applies to each inner check separately — the cache makes the number
-/// of inner checks unpredictable, so a cumulative cap would make warm
-/// and cold sweeps behave differently.
-pub fn first_solvable_horizon_cached(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-    cache: &mut HorizonVerdicts,
-) -> HorizonOutcome {
-    let start = cache.max_unsolvable().map_or(0, |m| m + 1);
-    // A cached solvable boundary within range bounds the answer above;
-    // horizons at or beyond it never need checking.
-    let ceiling = cache.min_solvable().filter(|&m| m <= max_k);
-    let sweep_end = ceiling.unwrap_or(max_k + 1);
-    for k in start..sweep_end {
-        match solvable_by_cached(scheme, k, alphabet, budget, cache) {
-            CachedCheck::Fresh(CheckResult::BudgetExhausted {
-                horizon_reached,
-                frontier_size,
-            }) => {
-                return HorizonOutcome::BudgetExhausted {
-                    at_horizon: k,
-                    horizon_reached,
-                    frontier_size,
-                }
-            }
-            answer => {
-                if answer.solvable() == Some(true) {
-                    return HorizonOutcome::Solvable(k);
-                }
-            }
-        }
-    }
-    match ceiling {
-        Some(m) => HorizonOutcome::Solvable(m),
-        None => HorizonOutcome::UnsolvableWithin(max_k),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checker::{gamma_alphabet, solvable_by};
     use minobs_core::prelude::*;
+
+    /// The verdict at `k` from `cache` when it knows one, else from the
+    /// checker, merged back in — the daemon's lookup-then-merge loop.
+    fn verdict_via(
+        cache: &mut HorizonVerdicts,
+        scheme: &dyn OmissionScheme,
+        k: usize,
+        alphabet: &[Letter],
+    ) -> bool {
+        if let Some(answer) = cache.lookup(k) {
+            return answer.solvable();
+        }
+        let solvable = solvable_by(scheme, k, alphabet).is_solvable();
+        assert_eq!(cache.merge(k, solvable), Merge::Applied, "horizon {k}");
+        solvable
+    }
 
     #[test]
     fn boundaries_tighten_and_subsume() {
@@ -292,10 +223,11 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.lookup(3), None);
 
-        cache.record(2, false);
-        cache.record(5, true);
-        cache.record(7, true); // looser than 5: ignored
-        cache.record(1, false); // looser than 2: ignored
+        assert_eq!(cache.merge(2, false), Merge::Applied);
+        assert_eq!(cache.merge(5, true), Merge::Applied);
+        assert_eq!(cache.merge(7, true), Merge::Implied); // looser than 5
+        assert_eq!(cache.merge(1, false), Merge::Implied); // looser than 2
+        assert_eq!(cache.merge(5, true), Merge::Implied); // exact repeat
         assert_eq!(cache.min_solvable(), Some(5));
         assert_eq!(cache.max_unsolvable(), Some(2));
 
@@ -327,12 +259,32 @@ mod tests {
     }
 
     #[test]
+    fn contradictions_are_refused_unchanged() {
+        let mut cache = HorizonVerdicts::new();
+        cache.merge(2, false);
+        cache.merge(5, true);
+        let before = cache;
+        // Exact, subsumed-from-above and subsumed-from-below conflicts.
+        for (k, solvable) in [(5, false), (9, false), (2, true), (0, true)] {
+            assert_eq!(cache.merge(k, solvable), Merge::Contradiction, "{k}");
+            assert_eq!(cache, before, "{k}");
+        }
+        // The gap is still open to either verdict.
+        assert_eq!(cache.merge(4, true), Merge::Applied);
+        assert_eq!(cache.merge(3, false), Merge::Applied);
+        assert_eq!(
+            HorizonVerdicts::from_boundaries(cache.min_solvable(), cache.max_unsolvable()),
+            Some(cache)
+        );
+    }
+
+    #[test]
     fn json_round_trips_and_rejects_contradictions() {
         let mut cache = HorizonVerdicts::new();
         assert_eq!(HorizonVerdicts::from_json(&cache.to_json()), Some(cache));
-        cache.record(2, false);
+        cache.merge(2, false);
         assert_eq!(HorizonVerdicts::from_json(&cache.to_json()), Some(cache));
-        cache.record(5, true);
+        cache.merge(5, true);
         let json = cache.to_json();
         assert_eq!(json.get("min_solvable").and_then(Value::as_u64), Some(5));
         assert_eq!(json.get("max_unsolvable").and_then(Value::as_u64), Some(2));
@@ -355,50 +307,14 @@ mod tests {
         let mut cache = HorizonVerdicts::new();
         for k in [0usize, 1, 2, 3, 4] {
             let direct = solvable_by(&scheme, k, &alphabet).is_solvable();
-            let cached = solvable_by_cached(&scheme, k, &alphabet, Budget::UNLIMITED, &mut cache);
-            assert_eq!(cached.solvable(), Some(direct), "horizon {k}");
+            assert_eq!(verdict_via(&mut cache, &scheme, k, &alphabet), direct, "horizon {k}");
         }
         // A second pass answers everything from the two boundaries.
         for k in [0usize, 1, 2, 3, 4] {
-            let cached = solvable_by_cached(&scheme, k, &alphabet, Budget::UNLIMITED, &mut cache);
-            assert!(matches!(cached, CachedCheck::Cached(_)), "horizon {k}");
+            assert!(cache.lookup(k).is_some(), "horizon {k}");
         }
         assert_eq!(cache.min_solvable(), Some(2));
         assert_eq!(cache.max_unsolvable(), Some(1));
-    }
-
-    #[test]
-    fn budget_exhaustion_is_never_recorded() {
-        let scheme = classic::r1();
-        let alphabet = gamma_alphabet();
-        let mut cache = HorizonVerdicts::new();
-        let result = solvable_by_cached(&scheme, 6, &alphabet, Budget::states(2), &mut cache);
-        assert!(matches!(
-            result,
-            CachedCheck::Fresh(CheckResult::BudgetExhausted { .. })
-        ));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cached_sweep_agrees_with_uncached() {
-        let scheme = classic::s1();
-        let alphabet = gamma_alphabet();
-        let mut cache = HorizonVerdicts::new();
-        let cold =
-            first_solvable_horizon_cached(&scheme, 5, &alphabet, Budget::UNLIMITED, &mut cache);
-        assert_eq!(cold, HorizonOutcome::Solvable(2));
-        // Warm: the boundaries answer without any checker run; the ceiling
-        // short-circuits even when the sweep range is empty.
-        let warm =
-            first_solvable_horizon_cached(&scheme, 5, &alphabet, Budget::states(1), &mut cache);
-        assert_eq!(warm, HorizonOutcome::Solvable(2));
-
-        let mut cache = HorizonVerdicts::new();
-        let unsolvable =
-            first_solvable_horizon_cached(&classic::r1(), 3, &alphabet, Budget::UNLIMITED, &mut cache);
-        assert_eq!(unsolvable, HorizonOutcome::UnsolvableWithin(3));
-        assert_eq!(cache.max_unsolvable(), Some(3));
     }
 
     mod properties {
@@ -424,9 +340,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// Subsumption soundness: querying horizons in any order
-            /// through one warm cache must agree with the direct checker
-            /// at every horizon — a cached or subsumed answer is never
-            /// allowed to differ from recomputation.
+            /// through one warm summary must agree with the direct
+            /// checker at every horizon — a cached or subsumed answer is
+            /// never allowed to differ from recomputation.
             #[test]
             fn prop_subsumption_never_contradicts_direct(
                 scheme_pick in 0usize..10,
@@ -437,11 +353,9 @@ mod tests {
                 let mut cache = HorizonVerdicts::new();
                 for &k in &horizons {
                     let direct = solvable_by(scheme, k, &alphabet).is_solvable();
-                    let cached =
-                        solvable_by_cached(scheme, k, &alphabet, Budget::UNLIMITED, &mut cache);
                     prop_assert_eq!(
-                        cached.solvable(),
-                        Some(direct),
+                        verdict_via(&mut cache, scheme, k, &alphabet),
+                        direct,
                         "scheme {} horizon {}",
                         scheme.name(),
                         k

@@ -76,9 +76,7 @@ pub mod cache;
 pub mod checker;
 pub mod views;
 
-pub use cache::{
-    first_solvable_horizon_cached, solvable_by_cached, CacheAnswer, CachedCheck, HorizonVerdicts,
-};
+pub use cache::{CacheAnswer, HorizonVerdicts, Merge};
 pub use checker::{
     first_solvable_horizon, first_solvable_horizon_budgeted, solvable_by, solvable_by_budgeted,
     solvable_by_par, solvable_by_par_budgeted, Budget, Chain, ChainStep, CheckResult, HorizonOutcome,
