@@ -38,10 +38,11 @@ pub const DEFAULT_FLIGHT_EVENTS: usize = 65_536;
 /// large enough that concurrent workers rarely collide on one mutex.
 const SHARDS: usize = 8;
 
-/// One shard's ring: fixed slots plus a write cursor.
+/// One shard's ring: slots filled in push order up to the shard
+/// capacity, then overwritten oldest-first at the write cursor.
 #[derive(Debug)]
 struct Ring {
-    slots: Vec<Option<(u64, TraceEvent)>>,
+    slots: Vec<(u64, TraceEvent)>,
     next: usize,
 }
 
@@ -49,6 +50,9 @@ struct Ring {
 struct Inner {
     seq: AtomicU64,
     shards: Vec<Mutex<Ring>>,
+    /// Slots per shard. Each ring reserves this much up front but only
+    /// writes (and so makes resident) the slots it fills.
+    per_shard: usize,
     /// Stamped on every dumped line, like `JsonlSink::set_node_id`.
     node_id: Option<String>,
     /// Recorded into each dump's `flight_dump` header so offline tooling
@@ -98,7 +102,7 @@ impl FlightRecorder {
         let shards = (0..SHARDS)
             .map(|_| {
                 Mutex::new(Ring {
-                    slots: vec![None; per_shard],
+                    slots: Vec::with_capacity(per_shard),
                     next: 0,
                 })
             })
@@ -107,6 +111,7 @@ impl FlightRecorder {
             inner: Arc::new(Inner {
                 seq: AtomicU64::new(0),
                 shards,
+                per_shard,
                 node_id: node_id.filter(|id| !id.is_empty()),
                 sampled,
             }),
@@ -115,7 +120,7 @@ impl FlightRecorder {
 
     /// Total ring capacity in events.
     pub fn capacity(&self) -> usize {
-        SHARDS * lock(&self.inner.shards[0]).slots.len()
+        SHARDS * self.inner.per_shard
     }
 
     /// Events recorded over the ring's lifetime (not the retained count).
@@ -125,9 +130,13 @@ impl FlightRecorder {
 
     fn push_at(&self, seq: u64, event: TraceEvent) {
         let mut ring = lock(&self.inner.shards[(seq as usize) % SHARDS]);
-        let at = ring.next;
-        ring.slots[at] = Some((seq, event));
-        ring.next = (at + 1) % ring.slots.len();
+        if ring.slots.len() < self.inner.per_shard {
+            ring.slots.push((seq, event));
+        } else {
+            let at = ring.next;
+            ring.slots[at] = (seq, event);
+            ring.next = (at + 1) % self.inner.per_shard;
+        }
     }
 
     /// Records one event.
@@ -162,7 +171,7 @@ impl FlightRecorder {
         {
             let guards: Vec<_> = self.inner.shards.iter().map(lock).collect();
             for guard in &guards {
-                entries.extend(guard.slots.iter().flatten().cloned());
+                entries.extend(guard.slots.iter().cloned());
             }
         }
         entries.sort_by_key(|(seq, _)| *seq);
@@ -335,26 +344,33 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_reports_capacity() {
-        let flight = FlightRecorder::new(16);
-        assert_eq!(flight.capacity(), 16);
-        for round in 0..100 {
-            flight.push(TraceEvent::Message {
-                round,
-                from: 0,
-                to: 1,
-                status: MessageStatus::Delivered,
-            });
+        let capacity = 16;
+        // Partly filled, exactly full, and wrapped once or several times.
+        for pushes in [5, capacity, capacity + 1, capacity + 7, capacity + 84] {
+            let flight = FlightRecorder::new(capacity);
+            assert_eq!(flight.capacity(), capacity);
+            for round in 0..pushes {
+                flight.push(TraceEvent::Message {
+                    round,
+                    from: 0,
+                    to: 1,
+                    status: MessageStatus::Delivered,
+                });
+            }
+            assert_eq!(flight.capacity(), capacity);
+            assert_eq!(flight.recorded(), pushes as u64);
+            let snap = flight.dump("rpc");
+            let kept = pushes.min(capacity) as u64;
+            assert_eq!(snap.events, kept);
+            let lines = parse(&snap.jsonl);
+            // Only the newest `capacity` survive, still in emission order.
+            let rounds: Vec<u64> = lines[1..]
+                .iter()
+                .map(|l| l.get("round").and_then(Value::as_u64).unwrap())
+                .collect();
+            let newest: Vec<u64> = (pushes as u64 - kept..pushes as u64).collect();
+            assert_eq!(rounds, newest);
         }
-        assert_eq!(flight.recorded(), 100);
-        let snap = flight.dump("rpc");
-        assert_eq!(snap.events, 16);
-        let lines = parse(&snap.jsonl);
-        // Only the newest 16 survive, still in emission order.
-        let rounds: Vec<u64> = lines[1..]
-            .iter()
-            .map(|l| l.get("round").and_then(Value::as_u64).unwrap())
-            .collect();
-        assert_eq!(rounds, (84..100).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -35,9 +35,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the loop sleeps per poll while waiting out the interval, so
-/// a drain is noticed promptly even under slow gossip cadences.
-const DRAIN_POLL: Duration = Duration::from_millis(20);
 /// Dial timeout for peer connections.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Response timeout per gossip RPC.
@@ -63,16 +60,7 @@ pub struct GossipConfig {
 pub(crate) fn gossip_loop(state: &Arc<ServerState>, config: &GossipConfig) {
     let mut clients: HashMap<String, SvcClient> = HashMap::new();
     let mut round: u64 = 0;
-    while !state.draining() {
-        let mut waited = Duration::ZERO;
-        while waited < config.interval && !state.draining() {
-            let step = DRAIN_POLL.min(config.interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
-        if state.draining() {
-            break;
-        }
+    while !state.wait_for_drain(config.interval) {
         let peer = &config.peers[(round % config.peers.len() as u64) as usize];
         match config
             .link_policy

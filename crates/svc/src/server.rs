@@ -7,12 +7,18 @@
 //! handlers under `catch_unwind`, so a panicking handler costs one error
 //! response, never a wedged worker.
 //!
+//! The acceptor blocks in `accept`, so a client's first request waits on
+//! nothing but the connection thread. WAL maintenance runs on its own
+//! timer thread.
+//!
 //! Shutdown is graceful by construction: `begin_shutdown` flips a flag,
-//! the acceptor stops taking connections, and every request already
-//! *accepted* (decoded off the socket and queued) is still answered —
-//! connection threads only hang up after writing the pending reply.
-//! A connection holding half a frame when the drain starts gets a short
-//! grace period to finish it before the socket closes.
+//! wakes the timer threads, and wakes the acceptor with a loopback
+//! connection, which it drops; the acceptor stops taking connections,
+//! and every request already *accepted* (decoded off the socket and
+//! queued) is still answered — connection threads only hang up after
+//! writing the pending reply. A connection holding half a frame when the
+//! drain starts gets a short grace period to finish it before the socket
+//! closes.
 
 use crate::cache::VerdictCache;
 use crate::gossip::{self, GossipConfig};
@@ -30,23 +36,28 @@ use minobs_synth::cache::Merge;
 use serde_json::Value;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long the acceptor sleeps between polls of the nonblocking socket.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the acceptor backs off after a failed `accept` (say, out of
+/// file descriptors), so a persistent error cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// Dial timeout for the loopback connection that wakes the acceptor at
+/// shutdown. Only a full accept backlog can make the dial wait, and then
+/// the acceptor has connections to return with anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 /// Read timeout on connection sockets; bounds drain-flag latency.
 const READ_POLL: Duration = Duration::from_millis(50);
 /// How long a draining connection may take to finish a half-read frame.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
-/// How often the acceptor runs WAL maintenance (flush + compaction
-/// check) — keeps appends off the request critical path while bounding
-/// the crash-loss window.
+/// How often the maintenance thread runs WAL maintenance (flush +
+/// compaction check) — keeps appends off the request critical path while
+/// bounding the crash-loss window.
 const WAL_MAINTENANCE: Duration = Duration::from_secs(1);
 
 /// Server-side caps applied to every request's budget.
@@ -268,6 +279,11 @@ pub struct HealthReport {
 /// State shared by the acceptor, connection threads, and workers.
 pub struct ServerState {
     shutting_down: AtomicBool,
+    /// Paired with `drain_cv`; timer threads wait on it for a drain.
+    drain_lock: Mutex<()>,
+    drain_cv: Condvar,
+    /// The bound address, dialled to wake the acceptor at shutdown.
+    local_addr: SocketAddr,
     seq: AtomicU64,
     registry: Arc<MetricsRegistry>,
     cache: VerdictCache,
@@ -344,6 +360,9 @@ impl ServerState {
         };
         let state = ServerState {
             shutting_down: AtomicBool::new(false),
+            drain_lock: Mutex::new(()),
+            drain_cv: Condvar::new(),
+            local_addr,
             seq: AtomicU64::new(0),
             metrics: Mutex::new(MetricsRecorder::new(Arc::clone(&registry))),
             cache,
@@ -470,7 +489,7 @@ impl ServerState {
         lock(&self.wal).is_some()
     }
 
-    /// Periodic background WAL work, run from the acceptor thread (off
+    /// Periodic background WAL work, run from the maintenance thread (off
     /// the request path): push buffered appends to the OS and rewrite
     /// the log when dead deltas dominate. Any failure degrades.
     fn wal_maintenance(&self) {
@@ -489,8 +508,44 @@ impl ServerState {
     }
 
     /// Starts the drain: stop accepting, answer what was taken, exit.
+    /// Wakes the timer threads and the blocked acceptor, so no thread
+    /// waits out a period before it notices.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
+        {
+            // Taking the lock orders the flag before any waiter's check.
+            let _guard = lock(&self.drain_lock);
+            self.drain_cv.notify_all();
+        }
+        let mut addr = self.local_addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        // A failed dial means the acceptor is gone or has a backlog to
+        // return with; either way it sees the flag.
+        let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+    }
+
+    /// Blocks for `period` or until a drain starts, whichever is first;
+    /// true once draining. Timer threads pace themselves with this.
+    pub(crate) fn wait_for_drain(&self, period: Duration) -> bool {
+        let deadline = Instant::now() + period;
+        let mut guard = lock(&self.drain_lock);
+        while !self.draining() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            guard = self
+                .drain_cv
+                .wait_timeout(guard, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        true
     }
 
     /// The verdict cache.
@@ -834,7 +889,8 @@ pub struct Server {
     local_addr: SocketAddr,
     state: Arc<ServerState>,
     acceptor: Option<JoinHandle<()>>,
-    gossip: Option<JoinHandle<()>>,
+    /// Timer threads (WAL maintenance, gossip); each exits on drain.
+    timers: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     job_tx: Option<Sender<Job>>,
 }
@@ -842,7 +898,6 @@ pub struct Server {
 /// Binds and starts serving; returns once the socket is listening.
 pub fn serve(config: SvcConfig) -> io::Result<Server> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let state = Arc::new(ServerState::new(&config, local_addr)?);
 
@@ -863,9 +918,16 @@ pub fn serve(config: SvcConfig) -> io::Result<Server> {
         thread::spawn(move || acceptor_loop(&listener, &st, &tx, max_connections))
     };
 
-    let gossip = if config.peers.is_empty() {
-        None
-    } else {
+    let mut timers = Vec::new();
+    if state.wal_active() {
+        let st = Arc::clone(&state);
+        timers.push(thread::spawn(move || {
+            while !st.wait_for_drain(WAL_MAINTENANCE) {
+                st.wal_maintenance();
+            }
+        }));
+    }
+    if !config.peers.is_empty() {
         let st = Arc::clone(&state);
         let gossip_config = GossipConfig {
             self_addr: local_addr.to_string(),
@@ -873,14 +935,16 @@ pub fn serve(config: SvcConfig) -> io::Result<Server> {
             interval: config.gossip_interval,
             link_policy: config.link_policy.clone(),
         };
-        Some(thread::spawn(move || gossip::gossip_loop(&st, &gossip_config)))
-    };
+        timers.push(thread::spawn(move || {
+            gossip::gossip_loop(&st, &gossip_config)
+        }));
+    }
 
     Ok(Server {
         local_addr,
         state,
         acceptor: Some(acceptor),
-        gossip,
+        timers,
         workers,
         job_tx: Some(job_tx),
     })
@@ -907,8 +971,8 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        if let Some(gossip) = self.gossip.take() {
-            let _ = gossip.join();
+        for timer in self.timers.drain(..) {
+            let _ = timer.join();
         }
         // Acceptor (and all connection threads it joined) are gone; no
         // producer remains, so workers drain the queue and exit.
@@ -930,34 +994,35 @@ fn acceptor_loop(
     max_connections: usize,
 ) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    let mut last_maintenance = Instant::now();
-    while !state.draining() {
-        if last_maintenance.elapsed() >= WAL_MAINTENANCE {
-            state.wal_maintenance();
-            last_maintenance = Instant::now();
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|handle| !handle.is_finished());
-                if connections.len() >= max_connections {
-                    // At the cap: answer with `busy` and hang up rather
-                    // than spawning an unbounded number of threads.
-                    let mut writer = &stream;
-                    let _ = wire::write_frame(
-                        &mut writer,
-                        &wire::err_response(0, "busy", "connection limit reached"),
-                    );
-                    continue;
-                }
-                let st = Arc::clone(state);
-                let tx = job_tx.clone();
-                connections.push(thread::spawn(move || serve_connection(stream, &st, &tx)));
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) if state.draining() => break,
+            Err(_) => {
+                thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(ACCEPT_POLL),
+        };
+        if state.draining() {
+            // `begin_shutdown`'s wake-up, or a client racing the drain:
+            // hang up without reading.
+            break;
         }
         connections.retain(|handle| !handle.is_finished());
+        if connections.len() >= max_connections {
+            // At the cap: answer with `busy` and hang up rather than
+            // spawning an unbounded number of threads.
+            let mut writer = &stream;
+            let _ = wire::write_frame(
+                &mut writer,
+                &wire::err_response(0, "busy", "connection limit reached"),
+            );
+            continue;
+        }
+        let st = Arc::clone(state);
+        let tx = job_tx.clone();
+        connections.push(thread::spawn(move || serve_connection(stream, &st, &tx)));
     }
     for handle in connections {
         let _ = handle.join();
@@ -1211,6 +1276,47 @@ mod tests {
         drop(state);
         let report = replayed(&path);
         assert_eq!((report.records, report.dropped_tail), (2, false));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Serves `config`, then drains with no client ever connected.
+    fn drain_idle(config: SvcConfig) {
+        let server = serve(SvcConfig {
+            workers: 1,
+            ..config
+        })
+        .unwrap();
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn idle_drain_wakes_a_loopback_bound_acceptor() {
+        drain_idle(SvcConfig::default());
+    }
+
+    #[test]
+    fn idle_drain_wakes_a_wildcard_bound_acceptor_over_loopback() {
+        drain_idle(SvcConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..SvcConfig::default()
+        });
+    }
+
+    #[test]
+    fn drain_wakes_the_wal_maintenance_timer() {
+        let dir = std::env::temp_dir().join(format!("minobs-drain-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("verdicts.wal");
+        let _ = std::fs::remove_file(&path);
+        let started = Instant::now();
+        drain_idle(SvcConfig {
+            wal_path: Some(path.clone()),
+            ..SvcConfig::default()
+        });
+        // Joining the timer must not wait out its period.
+        let took = started.elapsed();
+        assert!(took < WAL_MAINTENANCE, "drain took {took:?}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -179,17 +179,34 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal in time linear in its length: each run of
+    /// bytes up to the next `"` or `\` is validated and copied whole.
     fn parse_string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            // Runs end on an ASCII byte, so they never split a character.
+            match std::str::from_utf8(&rest[..run]) {
+                Ok(text) => out.push_str(text),
+                Err(e) => {
+                    self.pos += e.valid_up_to();
+                    return Err(self.error("invalid UTF-8"));
+                }
+            }
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: decode one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -217,15 +234,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.error("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -364,6 +372,43 @@ mod tests {
         for bad in ["{", "[1,", "tru", "\"x", "{\"a\":}", "1 2", ""] {
             assert!(from_str(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn one_mebibyte_string_parses_and_round_trips() {
+        let pattern = "aπ€😀\n\"\\b";
+        let mut big = String::with_capacity((1 << 20) + pattern.len());
+        while big.len() < 1 << 20 {
+            big.push_str(pattern);
+        }
+        let text = to_string(&Value::from(big.as_str())).unwrap();
+        let back = from_str(&text).unwrap();
+        assert_eq!(back.as_str(), Some(big.as_str()));
+        assert_eq!(to_string(&back).unwrap(), text);
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_round_trip_byte_identically() {
+        for text in [
+            r#""aπ€\n😀Ab""#,
+            r#""π\"€\\😀\t""#,
+            r#"{"😀":"\n😀\nπ","k":["","€"]}"#,
+        ] {
+            let value = from_str(text).unwrap();
+            assert_eq!(to_string(&value).unwrap(), text);
+        }
+        let v = from_str(r#""aπ€\nb""#).unwrap();
+        assert_eq!(v.as_str(), Some("aπ€\nb"));
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_an_error() {
+        let mut parser = Parser {
+            bytes: b"\"ok\xff\"",
+            pos: 0,
+        };
+        let err = parser.parse_string().unwrap_err();
+        assert_eq!(err.position, 3);
     }
 
     #[test]
