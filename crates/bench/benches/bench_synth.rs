@@ -73,7 +73,12 @@ fn bench_spair_decision(c: &mut Criterion) {
 /// prefix-viability. The automata-backed scheme makes each viability test
 /// an ω-emptiness query, which is where the parallel fan-out pays.
 fn bench_checker_parallel_ablation(c: &mut Criterion) {
-    use minobs_synth::checker::solvable_by_par;
+    use minobs_obs::NullRecorder;
+    use minobs_synth::checker::{check, CheckOptions};
+    let parallel = CheckOptions {
+        parallel: true,
+        ..CheckOptions::default()
+    };
     let mut group = c.benchmark_group("checker_parallel_ablation");
     group.sample_size(10);
     let gamma = gamma_alphabet();
@@ -83,7 +88,7 @@ fn bench_checker_parallel_ablation(c: &mut Criterion) {
             b.iter(|| black_box(solvable_by(&regular, k, &gamma)))
         });
         group.bench_with_input(BenchmarkId::new("parallel_regular", k), &k, |b, &k| {
-            b.iter(|| black_box(solvable_by_par(&regular, k, &gamma)))
+            b.iter(|| black_box(check(&regular, k, &gamma, parallel, &mut NullRecorder)))
         });
     }
     group.finish();

@@ -18,7 +18,10 @@ use crate::word::Word;
 use std::fmt;
 
 /// An arbitrary set of communication scenarios.
-pub trait OmissionScheme {
+///
+/// `Sync`, so the bounded checker can share one scheme across threads when
+/// it fans prefix-viability queries out.
+pub trait OmissionScheme: Sync {
     /// Is the (ultimately periodic) scenario a member of the scheme?
     fn contains(&self, w: &Scenario) -> bool;
 

@@ -85,8 +85,9 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A ring holding at most `capacity` events (clamped to ≥ [`SHARDS`]),
-    /// with no node stamp and sampling reported off.
+    /// A ring holding `capacity` events, rounded up to a multiple of its
+    /// eight shards (so at least eight; [`FlightRecorder::capacity`]
+    /// reports the result), with no node stamp and sampling reported off.
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder::with_meta(capacity, None, false)
     }

@@ -5,7 +5,7 @@
 //! protocol (two `gossip` RPCs, see `minobs_cluster::digest`): compare
 //! per-shard fingerprints, then ship both sides' deltas for the shards
 //! that disagree. Inbound deltas — whether this node initiated or the
-//! peer did — go through [`ingest_deltas`], which merges each record
+//! peer did — go through `ingest_deltas`, which merges each record
 //! by the cache's one merge rule, the same one WAL replay and workers
 //! use: records already implied by the cache are skipped, records that
 //! would *contradict* an established bound are rejected (and counted),

@@ -744,3 +744,59 @@ fn latency_summary(state: &ServerState) -> Value {
     }
     Value::Object(methods)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::SvcConfig;
+
+    /// The reply to one `method` request on a fresh socket-free state,
+    /// so nothing is answered from an earlier request's cache entry.
+    fn fresh_reply(method: &str, params: &str) -> Value {
+        let state =
+            ServerState::new(&SvcConfig::default(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let request = Request {
+            id: 1,
+            method: method.to_string(),
+            params: serde_json::from_str(params).unwrap(),
+            ctx: None,
+        };
+        handle(&state, &request).0.unwrap()
+    }
+
+    #[test]
+    fn parallel_param_leaves_every_reply_unchanged() {
+        for (method, params, expect) in [
+            (
+                "check_horizon",
+                r#""scheme":"r1","horizon":5"#,
+                ("chain_len", Value::from(2 * 3u64.pow(5) + 1)),
+            ),
+            (
+                "check_horizon",
+                r#""scheme":"regular_fair","horizon":6"#,
+                ("solvable", Value::from(false)),
+            ),
+            (
+                "check_horizon",
+                r#""scheme":"r1","horizon":5,"max_states":50"#,
+                ("solvable", Value::Null),
+            ),
+            (
+                "first_horizon",
+                r#""scheme":"c1","max_horizon":4"#,
+                ("horizon", Value::from(2u64)),
+            ),
+        ] {
+            let [sequential, parallel] = [false, true].map(|parallel| {
+                fresh_reply(method, &format!("{{{params},\"parallel\":{parallel}}}"))
+            });
+            assert_eq!(
+                sequential.get(expect.0),
+                Some(&expect.1),
+                "{method} {params}: {sequential:?}"
+            );
+            assert_eq!(parallel, sequential, "{method} {params}");
+        }
+    }
+}

@@ -333,7 +333,7 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    fn new(config: &SvcConfig, local_addr: SocketAddr) -> io::Result<ServerState> {
+    pub(crate) fn new(config: &SvcConfig, local_addr: SocketAddr) -> io::Result<ServerState> {
         let registry = Arc::new(MetricsRegistry::new());
         let cache = VerdictCache::new(&registry);
         let node_id = config

@@ -9,14 +9,14 @@
 //! [`ParsedScheme::cache_key`] and share verdict-cache entries.
 
 use minobs_core::prelude::*;
+use minobs_obs::NullRecorder;
 use minobs_omega::schemes::{
     decide_regular, regular_almost_fair, regular_avoid_prefix, regular_c1, regular_fair,
     regular_gamma_minus, regular_r1, regular_s0, regular_s1, regular_t, regular_total_budget,
     RegularScheme,
 };
 use minobs_synth::checker::{
-    gamma_alphabet, sigma_alphabet, solvable_by_budgeted, solvable_by_par_budgeted, Budget,
-    CheckResult,
+    check, gamma_alphabet, sigma_alphabet, Budget, CheckOptions, CheckResult,
 };
 use serde_json::Value;
 
@@ -194,10 +194,8 @@ impl ParsedScheme {
         }
     }
 
-    /// Runs the bounded checker at horizon `k` under `budget`, on the
-    /// rayon-backed frontier when `parallel`. The parallel path needs the
-    /// concrete (`Sync`) scheme type, hence the dispatch here rather than
-    /// through [`ParsedScheme::as_omission`].
+    /// Runs the bounded checker at horizon `k` under `budget`, with
+    /// rayon-parallel prefix viability when `parallel`.
     pub fn check(
         &self,
         k: usize,
@@ -205,11 +203,13 @@ impl ParsedScheme {
         budget: Budget,
         parallel: bool,
     ) -> CheckResult {
-        match (&self.kind, parallel) {
-            (SchemeKind::Classic(s), true) => solvable_by_par_budgeted(s, k, alphabet, budget),
-            (SchemeKind::Regular(s), true) => solvable_by_par_budgeted(s, k, alphabet, budget),
-            _ => solvable_by_budgeted(self.as_omission(), k, alphabet, budget),
-        }
+        check(
+            self.as_omission(),
+            k,
+            alphabet,
+            CheckOptions { budget, parallel },
+            &mut NullRecorder,
+        )
     }
 
     /// Runs the Theorem III.8 decision procedure, or explains why it

@@ -1,9 +1,13 @@
 //! The bounded solvability model checker.
 //!
-//! `solvable_by(scheme, k, alphabet)` answers: *does any algorithm exist
-//! in which both processes decide at round `k`, correctly, for every
-//! scenario of the scheme?* — by the full-information reduction (see the
-//! crate docs) this is a finite union-find computation over views.
+//! [`check`] answers: *does any algorithm exist in which both processes
+//! decide at round `k`, correctly, for every scenario of the scheme?* —
+//! by the full-information reduction (see the crate docs) this is a
+//! finite union-find computation over views. [`first_horizon`] sweeps
+//! `k` upward for the first yes. Both take one [`CheckOptions`] (budget,
+//! parallel viability) and a recorder; [`solvable_by`],
+//! [`solvable_by_with_recorder`] and [`first_solvable_horizon`] are the
+//! same calls with default options.
 //!
 //! The enumeration is level-synchronous over `Pref_k(L)`: the frontier
 //! holds one entry per (allowed prefix × input pair) carrying the two
@@ -184,7 +188,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// No limits — behaves exactly like the unbudgeted entry points.
+    /// No limits: the default in [`CheckOptions`].
     pub const UNLIMITED: Budget = Budget {
         max_states: usize::MAX,
         max_millis: u64::MAX,
@@ -200,8 +204,9 @@ impl Budget {
 }
 
 /// Mutable budget accounting, shared across rounds — and across horizons
-/// in [`first_solvable_horizon_budgeted`], so the cap is cumulative for
-/// the whole sweep rather than per inner check.
+/// in [`first_horizon`], so the cap is cumulative for the whole sweep
+/// rather than per inner check. [`Budget::UNLIMITED`] charges nothing that
+/// can run out and never reads the clock.
 struct BudgetTracker {
     budget: Budget,
     states_spent: usize,
@@ -285,149 +290,83 @@ struct ExecState {
     view_b: ViewId,
 }
 
+/// How a check runs. The default is the plain check: no budget, viability
+/// queries answered in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckOptions {
+    /// Resource cap. In [`first_horizon`] it is cumulative over the whole
+    /// sweep.
+    pub budget: Budget,
+    /// Fan each round's prefix-viability queries out with `rayon` — the
+    /// expensive part for automata-backed schemes, where each query is an
+    /// ω-automata emptiness test. View interning, union-find and budget
+    /// accounting stay sequential, so verdicts, budget stops and trace
+    /// events are the same either way (tested).
+    pub parallel: bool,
+}
+
+impl Default for CheckOptions {
+    fn default() -> Self {
+        CheckOptions {
+            budget: Budget::UNLIMITED,
+            parallel: false,
+        }
+    }
+}
+
 /// Decides `k`-round solvability of `scheme` over the given per-round
 /// alphabet (use `GammaLetter`-only letters for `L ⊆ Γ^ω`, all of `Σ` for
-/// schemes with double omission).
-pub fn solvable_by(scheme: &dyn OmissionScheme, k: usize, alphabet: &[Letter]) -> CheckResult {
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        None,
-        k,
-        alphabet,
-        &mut NullRecorder,
-        None,
-    )
-}
-
-/// [`solvable_by`] under a [`Budget`]: stops at the next round boundary
-/// once the budget runs out, returning the honest partial verdict
-/// [`CheckResult::BudgetExhausted`] instead of churning forever.
-pub fn solvable_by_budgeted(
+/// schemes with double omission), under `opts`.
+///
+/// Once the budget runs out the check stops at the next round boundary
+/// with the honest partial verdict [`CheckResult::BudgetExhausted`]
+/// instead of churning on. `recorder` receives one `checker_round` event
+/// per frontier step (frontier size and view-arena growth), the phase
+/// spans, and a `budget_exhausted` event on exhaustion.
+pub fn check<R: Recorder + ?Sized>(
     scheme: &dyn OmissionScheme,
     k: usize,
     alphabet: &[Letter],
-    budget: Budget,
-) -> CheckResult {
-    solvable_by_budgeted_with_recorder(scheme, k, alphabet, budget, &mut NullRecorder)
-}
-
-/// [`solvable_by_budgeted`] with structured observations: exhaustion
-/// additionally emits a `budget_exhausted` trace event.
-pub fn solvable_by_budgeted_with_recorder<R: Recorder + ?Sized>(
-    scheme: &dyn OmissionScheme,
-    k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
+    opts: CheckOptions,
     recorder: &mut R,
 ) -> CheckResult {
-    let mut tracker = BudgetTracker::new(budget);
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        None,
+    let mut tracker = BudgetTracker::new(opts.budget);
+    solvable_by_impl(scheme, k, alphabet, opts.parallel, &mut tracker, recorder)
+}
+
+/// [`check`] with default options.
+pub fn solvable_by(scheme: &dyn OmissionScheme, k: usize, alphabet: &[Letter]) -> CheckResult {
+    check(
+        scheme,
         k,
         alphabet,
-        recorder,
-        Some(&mut tracker),
+        CheckOptions::default(),
+        &mut NullRecorder,
     )
 }
 
-/// [`solvable_by`] with structured observations delivered to `recorder`:
-/// one `checker_round` event per frontier step, carrying the frontier size
-/// and view-arena growth.
+/// [`check`] with default options, observed by `recorder`.
 pub fn solvable_by_with_recorder<R: Recorder + ?Sized>(
     scheme: &dyn OmissionScheme,
     k: usize,
     alphabet: &[Letter],
     recorder: &mut R,
 ) -> CheckResult {
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        None,
-        k,
-        alphabet,
-        recorder,
-        None,
-    )
+    check(scheme, k, alphabet, CheckOptions::default(), recorder)
 }
-
-/// The rayon-parallel variant of [`solvable_by`]: prefix-viability tests —
-/// the expensive part for automata-backed schemes, where each test is an
-/// ω-automata emptiness query — are fanned out with `rayon`; view
-/// interning and the union-find stay sequential. Results are identical to
-/// the sequential checker (tested), letter for letter.
-pub fn solvable_by_par<S>(scheme: &S, k: usize, alphabet: &[Letter]) -> CheckResult
-where
-    S: OmissionScheme + Sync + ?Sized,
-{
-    solvable_by_par_with_recorder(scheme, k, alphabet, &mut NullRecorder)
-}
-
-/// [`solvable_by_par`] under a [`Budget`]. Budget accounting lives in the
-/// sequential coordinator, so a states-only budget degrades at exactly
-/// the same round as the sequential [`solvable_by_budgeted`].
-pub fn solvable_by_par_budgeted<S>(
-    scheme: &S,
-    k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-) -> CheckResult
-where
-    S: OmissionScheme + Sync + ?Sized,
-{
-    let mut tracker = BudgetTracker::new(budget);
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        Some(&|words: &[Word]| {
-            use rayon::prelude::*;
-            words.par_iter().map(|u| scheme.allows_prefix(u)).collect()
-        }),
-        k,
-        alphabet,
-        &mut NullRecorder,
-        Some(&mut tracker),
-    )
-}
-
-/// [`solvable_by_par`] with structured observations delivered to
-/// `recorder`. Events come from the sequential coordinator, so traces are
-/// identical to [`solvable_by_with_recorder`]'s modulo timing.
-pub fn solvable_by_par_with_recorder<S, R>(
-    scheme: &S,
-    k: usize,
-    alphabet: &[Letter],
-    recorder: &mut R,
-) -> CheckResult
-where
-    S: OmissionScheme + Sync + ?Sized,
-    R: Recorder + ?Sized,
-{
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        Some(&|words: &[Word]| {
-            use rayon::prelude::*;
-            words.par_iter().map(|u| scheme.allows_prefix(u)).collect()
-        }),
-        k,
-        alphabet,
-        recorder,
-        None,
-    )
-}
-
-type BatchViability<'a> = &'a dyn Fn(&[Word]) -> Vec<bool>;
 
 fn solvable_by_impl<R: Recorder + ?Sized>(
-    allows: &dyn Fn(&Word) -> bool,
-    batch: Option<BatchViability<'_>>,
+    scheme: &dyn OmissionScheme,
     k: usize,
     alphabet: &[Letter],
+    parallel: bool,
+    tracker: &mut BudgetTracker,
     recorder: &mut R,
-    mut tracker: Option<&mut BudgetTracker>,
 ) -> CheckResult {
     let mut arena = ViewArena::new();
     // Prefix store: tree-encoded, prefixes[i] = (parent index, letter).
     let mut prefixes: PrefixStore = vec![(0, None)];
-    if !allows(&Word::empty()) {
+    if !scheme.allows_prefix(&Word::empty()) {
         return CheckResult::Empty;
     }
 
@@ -445,14 +384,12 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
         }
     }
 
-    if let Some(t) = tracker.as_deref_mut() {
-        if !t.charge(frontier.len()) {
-            recorder.on_budget_exhausted(0, frontier.len(), t.states_spent);
-            return CheckResult::BudgetExhausted {
-                horizon_reached: 0,
-                frontier_size: frontier.len(),
-            };
-        }
+    if !tracker.charge(frontier.len()) {
+        recorder.on_budget_exhausted(0, frontier.len(), tracker.states_spent);
+        return CheckResult::BudgetExhausted {
+            horizon_reached: 0,
+            frontier_size: frontier.len(),
+        };
     }
 
     let mut span_ids = SpanIds::new();
@@ -478,31 +415,32 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
         }
 
         // Viability of every (group, letter) extension — the expensive
-        // queries. The parallel variant fans a batch of words out; the
-        // sequential one tests each group's word in place.
-        let viable: Vec<bool> = match batch {
-            Some(run_batch) => {
-                let candidate_words: Vec<Word> = groups
-                    .iter()
-                    .flat_map(|&(_, _, pidx)| {
-                        let word = reconstruct(&prefixes, pidx);
-                        alphabet.iter().map(move |&l| word.push(l))
-                    })
-                    .collect();
-                run_batch(&candidate_words)
-            }
-            None => {
-                let mut viable = Vec::with_capacity(groups.len() * alphabet.len());
-                for &(_, _, pidx) in &groups {
-                    let mut word = reconstruct(&prefixes, pidx);
-                    for &letter in alphabet {
-                        word.0.push(letter);
-                        viable.push(allows(&word));
-                        word.0.pop();
-                    }
+        // queries. In parallel a batch of words fans out; sequentially
+        // each group's word is tested in place, with no batch built.
+        let viable: Vec<bool> = if parallel {
+            use rayon::prelude::*;
+            let candidate_words: Vec<Word> = groups
+                .iter()
+                .flat_map(|&(_, _, pidx)| {
+                    let word = reconstruct(&prefixes, pidx);
+                    alphabet.iter().map(move |&l| word.push(l))
+                })
+                .collect();
+            candidate_words
+                .par_iter()
+                .map(|u| scheme.allows_prefix(u))
+                .collect()
+        } else {
+            let mut viable = Vec::with_capacity(groups.len() * alphabet.len());
+            for &(_, _, pidx) in &groups {
+                let mut word = reconstruct(&prefixes, pidx);
+                for &letter in alphabet {
+                    word.0.push(letter);
+                    viable.push(scheme.allows_prefix(&word));
+                    word.0.pop();
                 }
-                viable
             }
+            viable
         };
 
         // Each viable (group, letter) pair extends the whole group once:
@@ -574,16 +512,12 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
         // Budget is checked at round granularity: the round that tips
         // the scales still finishes, so `horizon_reached` is always a
         // fully-explored depth.
-        if round + 1 < k {
-            if let Some(t) = tracker.as_deref_mut() {
-                if !t.charge(frontier.len()) {
-                    recorder.on_budget_exhausted(round + 1, frontier.len(), t.states_spent);
-                    return CheckResult::BudgetExhausted {
-                        horizon_reached: round + 1,
-                        frontier_size: frontier.len(),
-                    };
-                }
-            }
+        if round + 1 < k && !tracker.charge(frontier.len()) {
+            recorder.on_budget_exhausted(round + 1, frontier.len(), tracker.states_spent);
+            return CheckResult::BudgetExhausted {
+                horizon_reached: round + 1,
+                frontier_size: frontier.len(),
+            };
         }
     }
     // Decide needs only how many views exist, not their keys.
@@ -747,42 +681,10 @@ pub fn sigma_alphabet() -> Vec<Letter> {
     Letter::ALL.to_vec()
 }
 
-/// The smallest horizon `k ≤ max_k` at which the scheme is solvable, or
-/// `None`. By Corollary III.14 / Proposition III.15 this equals the
-/// paper's worst-case round complexity `p` whenever it exists.
-pub fn first_solvable_horizon(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-) -> Option<usize> {
-    first_solvable_horizon_with_recorder(scheme, max_k, alphabet, &mut NullRecorder)
-}
-
-/// [`first_solvable_horizon`] with structured observations delivered to
-/// `recorder`: every inner check streams its `checker_round` events, and
-/// each horizon `k` closes with a `horizon` event carrying its verdict and
-/// wall time.
-pub fn first_solvable_horizon_with_recorder<R: Recorder + ?Sized>(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    recorder: &mut R,
-) -> Option<usize> {
-    for k in 0..=max_k {
-        let timer = RoundTimer::start_if(recorder.enabled());
-        let solvable = solvable_by_with_recorder(scheme, k, alphabet, recorder).is_solvable();
-        recorder.on_horizon(k, solvable, timer.elapsed_nanos());
-        if solvable {
-            return Some(k);
-        }
-    }
-    None
-}
-
-/// The outcome of a budgeted horizon sweep.
+/// The outcome of a horizon sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HorizonOutcome {
-    /// The smallest solvable horizon, as in [`first_solvable_horizon`].
+    /// The smallest solvable horizon.
     Solvable(usize),
     /// Every horizon `k ≤ max_k` was fully checked and none is solvable.
     UnsolvableWithin(usize),
@@ -799,38 +701,27 @@ pub enum HorizonOutcome {
     },
 }
 
-/// [`first_solvable_horizon`] under a [`Budget`] that is **cumulative
-/// across the whole sweep**: the state/time caps are shared by every
-/// inner check, so the sweep as a whole degrades gracefully instead of
-/// paying the cap once per horizon.
-pub fn first_solvable_horizon_budgeted(
+/// Sweeps `k = 0..=max_k` for the smallest horizon at which the scheme
+/// is solvable, under `opts`. By Corollary III.14 / Proposition III.15
+/// this equals the paper's worst-case round complexity `p` whenever it
+/// exists.
+///
+/// The budget is **cumulative across the whole sweep**: every inner check
+/// draws on the same state/time caps, so the sweep as a whole degrades
+/// gracefully instead of paying the cap once per horizon. `recorder` sees
+/// every inner check's events, and each fully checked horizon `k` closes
+/// with a `horizon` event carrying its verdict and wall time.
+pub fn first_horizon<R: Recorder + ?Sized>(
     scheme: &dyn OmissionScheme,
     max_k: usize,
     alphabet: &[Letter],
-    budget: Budget,
-) -> HorizonOutcome {
-    first_solvable_horizon_budgeted_with_recorder(scheme, max_k, alphabet, budget, &mut NullRecorder)
-}
-
-/// [`first_solvable_horizon_budgeted`] with structured observations.
-pub fn first_solvable_horizon_budgeted_with_recorder<R: Recorder + ?Sized>(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
+    opts: CheckOptions,
     recorder: &mut R,
 ) -> HorizonOutcome {
-    let mut tracker = BudgetTracker::new(budget);
+    let mut tracker = BudgetTracker::new(opts.budget);
     for k in 0..=max_k {
         let timer = RoundTimer::start_if(recorder.enabled());
-        let result = solvable_by_impl(
-            &|u| scheme.allows_prefix(u),
-            None,
-            k,
-            alphabet,
-            recorder,
-            Some(&mut tracker),
-        );
+        let result = solvable_by_impl(scheme, k, alphabet, opts.parallel, &mut tracker, recorder);
         if let CheckResult::BudgetExhausted {
             horizon_reached,
             frontier_size,
@@ -851,6 +742,25 @@ pub fn first_solvable_horizon_budgeted_with_recorder<R: Recorder + ?Sized>(
     HorizonOutcome::UnsolvableWithin(max_k)
 }
 
+/// [`first_horizon`] with default options: the smallest solvable horizon
+/// `k ≤ max_k`, or `None`.
+pub fn first_solvable_horizon(
+    scheme: &dyn OmissionScheme,
+    max_k: usize,
+    alphabet: &[Letter],
+) -> Option<usize> {
+    match first_horizon(
+        scheme,
+        max_k,
+        alphabet,
+        CheckOptions::default(),
+        &mut NullRecorder,
+    ) {
+        HorizonOutcome::Solvable(k) => Some(k),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,6 +771,18 @@ mod tests {
     fn gamma() -> Vec<Letter> {
         gamma_alphabet()
     }
+
+    fn budgeted(budget: Budget) -> CheckOptions {
+        CheckOptions {
+            budget,
+            ..CheckOptions::default()
+        }
+    }
+
+    const PARALLEL: CheckOptions = CheckOptions {
+        budget: Budget::UNLIMITED,
+        parallel: true,
+    };
 
     #[test]
     fn nothing_is_solvable_at_horizon_zero() {
@@ -934,11 +856,11 @@ mod tests {
     /// Checks `scheme`'s `k`-round chain as a certificate: uniform
     /// endpoints with opposite inputs, every prefix allowed and of length
     /// `k`, and every consecutive pair indistinguishable to some process.
-    fn assert_certificate<S: OmissionScheme + Sync>(scheme: &S, k: usize, alphabet: &[Letter]) {
+    fn assert_certificate(scheme: &dyn OmissionScheme, k: usize, alphabet: &[Letter]) {
         let result = solvable_by(scheme, k, alphabet);
         assert_eq!(
             result,
-            solvable_by_par(scheme, k, alphabet),
+            check(scheme, k, alphabet, PARALLEL, &mut NullRecorder),
             "{} k={k}",
             scheme.name()
         );
@@ -1083,7 +1005,10 @@ mod tests {
 
     #[test]
     fn parallel_checker_matches_sequential() {
-        let schemes: Vec<ClassicScheme> = vec![
+        // (scheme, alphabet, horizons, budgets): parallel viability must
+        // return the same verdict, and degrade at the same round, as the
+        // sequential check.
+        let mut table: Vec<_> = [
             classic::s0(),
             classic::s1(),
             classic::c1(),
@@ -1091,23 +1016,75 @@ mod tests {
             classic::almost_fair(),
             classic::total_budget(2),
             ClassicScheme::AvoidPrefix("wb".parse().unwrap()),
-        ];
-        for scheme in &schemes {
-            for k in 0..=4 {
-                let seq = solvable_by(scheme, k, &gamma());
-                let par = solvable_by_par(scheme, k, &gamma());
-                assert_eq!(seq, par, "{} k={k}", scheme.name());
+        ]
+        .into_iter()
+        .map(|scheme| (scheme, gamma(), 0..=4, vec![Budget::UNLIMITED]))
+        .collect();
+        table.push((
+            classic::s2(),
+            sigma_alphabet(),
+            0..=3,
+            vec![Budget::UNLIMITED],
+        ));
+        table.push((
+            classic::r1(),
+            gamma(),
+            5..=5,
+            vec![
+                Budget::states(50),
+                Budget::states(10_000),
+                Budget::UNLIMITED,
+            ],
+        ));
+        for (scheme, alphabet, horizons, budgets) in table {
+            for k in horizons {
+                for &budget in &budgets {
+                    let seq = check(&scheme, k, &alphabet, budgeted(budget), &mut NullRecorder);
+                    let opts = CheckOptions {
+                        budget,
+                        parallel: true,
+                    };
+                    assert_eq!(
+                        check(&scheme, k, &alphabet, opts, &mut NullRecorder),
+                        seq,
+                        "{} k={k} {budget:?}",
+                        scheme.name()
+                    );
+                }
             }
         }
     }
 
+    /// `rec`'s events with the wall-clock fields zeroed.
+    fn untimed(rec: &minobs_obs::MemoryRecorder) -> Vec<minobs_obs::TraceEvent> {
+        use minobs_obs::TraceEvent;
+        let mut events = rec.events().to_vec();
+        for event in &mut events {
+            if let TraceEvent::CheckerRound { nanos, .. }
+            | TraceEvent::Horizon { nanos, .. }
+            | TraceEvent::SpanEnd { nanos, .. } = event
+            {
+                *nanos = 0;
+            }
+        }
+        events
+    }
+
     #[test]
-    fn parallel_checker_on_sigma_alphabet() {
-        for k in 0..=3 {
-            assert_eq!(
-                solvable_by(&classic::s2(), k, &sigma_alphabet()),
-                solvable_by_par(&classic::s2(), k, &sigma_alphabet()),
-            );
+    fn parallel_sweep_traces_like_the_sequential_one() {
+        use minobs_obs::MemoryRecorder;
+        for (scheme, max_k, budget) in [
+            (classic::c1(), 4, Budget::UNLIMITED),
+            (classic::r1(), 4, Budget::UNLIMITED),
+            (classic::r1(), 6, Budget::states(40)),
+        ] {
+            let sweep = |parallel| {
+                let mut rec = MemoryRecorder::new();
+                let opts = CheckOptions { budget, parallel };
+                let outcome = first_horizon(&scheme, max_k, &gamma(), opts, &mut rec);
+                (outcome, untimed(&rec))
+            };
+            assert_eq!(sweep(true), sweep(false), "{}", scheme.name());
         }
     }
 
@@ -1136,10 +1113,16 @@ mod tests {
 
     #[test]
     fn generous_budget_matches_unbudgeted() {
+        // A finite budget the run never reaches — on both axes, so the
+        // clock is armed — returns the unlimited verdict.
+        let generous = Budget {
+            max_states: 1 << 40,
+            max_millis: 3_600_000,
+        };
         for scheme in [classic::s0(), classic::c1(), classic::r1()] {
             for k in 0..=3 {
                 assert_eq!(
-                    solvable_by_budgeted(&scheme, k, &gamma(), Budget::UNLIMITED),
+                    check(&scheme, k, &gamma(), budgeted(generous), &mut NullRecorder),
                     solvable_by(&scheme, k, &gamma()),
                     "{} k={k}",
                     scheme.name()
@@ -1153,7 +1136,8 @@ mod tests {
         // R1's frontier at depth 4 is far beyond 50 cumulative states,
         // so the check must stop early — deterministically, since a
         // states-only budget never consults the clock.
-        let r = solvable_by_budgeted(&classic::r1(), 6, &gamma(), Budget::states(50));
+        let opts = budgeted(Budget::states(50));
+        let r = check(&classic::r1(), 6, &gamma(), opts, &mut NullRecorder);
         let CheckResult::BudgetExhausted {
             horizon_reached,
             frontier_size,
@@ -1166,7 +1150,7 @@ mod tests {
         assert!(frontier_size > 0);
         // Determinism: the same budget stops at the same point.
         assert_eq!(
-            solvable_by_budgeted(&classic::r1(), 6, &gamma(), Budget::states(50)),
+            check(&classic::r1(), 6, &gamma(), opts, &mut NullRecorder),
             r
         );
     }
@@ -1176,36 +1160,31 @@ mod tests {
         // A budget big enough for the run returns the real verdict —
         // the final frontier is never charged against further work.
         let full = solvable_by(&classic::s1(), 2, &gamma());
+        let opts = budgeted(Budget::states(100_000));
         assert_eq!(
-            solvable_by_budgeted(&classic::s1(), 2, &gamma(), Budget::states(100_000)),
+            check(&classic::s1(), 2, &gamma(), opts, &mut NullRecorder),
             full
         );
     }
 
     #[test]
-    fn parallel_budgeted_degrades_at_the_same_round() {
-        for budget in [Budget::states(50), Budget::states(10_000), Budget::UNLIMITED] {
-            assert_eq!(
-                solvable_by_par_budgeted(&classic::r1(), 5, &gamma(), budget),
-                solvable_by_budgeted(&classic::r1(), 5, &gamma(), budget),
-                "{budget:?}"
-            );
-        }
-    }
-
-    #[test]
     fn budgeted_horizon_sweep_surfaces_exhaustion() {
+        let sweep = |scheme: &ClassicScheme, max_k, budget| {
+            first_horizon(scheme, max_k, &gamma(), budgeted(budget), &mut NullRecorder)
+        };
         // Unlimited budget reproduces the plain sweep.
         assert_eq!(
-            first_solvable_horizon_budgeted(&classic::c1(), 4, &gamma(), Budget::UNLIMITED),
+            sweep(&classic::c1(), 4, Budget::UNLIMITED),
             HorizonOutcome::Solvable(2)
         );
+        assert_eq!(first_solvable_horizon(&classic::c1(), 4, &gamma()), Some(2));
         assert_eq!(
-            first_solvable_horizon_budgeted(&classic::r1(), 3, &gamma(), Budget::UNLIMITED),
+            sweep(&classic::r1(), 3, Budget::UNLIMITED),
             HorizonOutcome::UnsolvableWithin(3)
         );
+        assert_eq!(first_solvable_horizon(&classic::r1(), 3, &gamma()), None);
         // A tiny cumulative budget dies mid-sweep and says where.
-        let out = first_solvable_horizon_budgeted(&classic::r1(), 6, &gamma(), Budget::states(40));
+        let out = sweep(&classic::r1(), 6, Budget::states(40));
         let HorizonOutcome::BudgetExhausted {
             at_horizon,
             horizon_reached,
@@ -1223,11 +1202,11 @@ mod tests {
     fn exhaustion_emits_budget_exhausted_event() {
         use minobs_obs::{MemoryRecorder, TraceEvent};
         let mut rec = MemoryRecorder::new();
-        let r = solvable_by_budgeted_with_recorder(
+        let r = check(
             &classic::r1(),
             6,
             &gamma(),
-            Budget::states(50),
+            budgeted(Budget::states(50)),
             &mut rec,
         );
         let CheckResult::BudgetExhausted {
@@ -1341,7 +1320,4 @@ mod tests {
             "an 8-round sweep must cross the progress stride at least once"
         );
     }
-
-    use minobs_core::word::Word;
-    use minobs_core::scheme::OmissionScheme;
 }

@@ -13,9 +13,14 @@
 //! > constant on every execution-connected component and respects the
 //! > validity pins.
 //!
-//! [`checker::solvable_by`] decides exactly that with a union-find over
+//! [`checker::check`] decides exactly that with a union-find over
 //! interned views ([`views`]), enumerating `Pref_k(L)` level-
-//! synchronously. When the answer is *no*, it returns the **bivalency
+//! synchronously; [`checker::first_horizon`] sweeps `k` upward for the
+//! first solvable horizon. Both take one [`checker::CheckOptions`] (a
+//! [`checker::Budget`] and whether prefix viability runs on `rayon`) and
+//! a recorder; `solvable_by`, `solvable_by_with_recorder` and
+//! `first_solvable_horizon` are the same calls with default options.
+//! When the answer is *no*, the check returns the **bivalency
 //! chain**: the sequence of executions connecting the all-0 execution to
 //! the all-1 execution through indistinguishable views — the
 //! combinatorial skeleton of Section III-C's impossibility proof, and of
@@ -24,7 +29,7 @@
 //!
 //! Two structural facts fall out and are tested:
 //!
-//! * the checker only sees `Pref_k(L)`, so `first_solvable_horizon`
+//! * the checker only sees `Pref_k(L)`, so the first solvable horizon
 //!   equals the paper's round-complexity bound `p` of Corollary III.14 /
 //!   Proposition III.15 whenever `p` exists, and is `∞` exactly when
 //!   `Pref(L) = Γ*` (where only unbounded-round algorithms can exist);
@@ -78,7 +83,7 @@ pub mod views;
 
 pub use cache::{CacheAnswer, HorizonVerdicts, Merge};
 pub use checker::{
-    first_solvable_horizon, first_solvable_horizon_budgeted, solvable_by, solvable_by_budgeted,
-    solvable_by_par, solvable_by_par_budgeted, Budget, Chain, ChainStep, CheckResult, HorizonOutcome,
+    check, first_horizon, first_solvable_horizon, solvable_by, solvable_by_with_recorder, Budget,
+    Chain, ChainStep, CheckOptions, CheckResult, HorizonOutcome,
 };
 pub use views::{ViewArena, ViewId};

@@ -313,7 +313,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,
@@ -481,9 +481,12 @@ mod tests {
 
     proptest! {
         fn macro_default_config(pair in (any::<u32>(), any::<bool>())) {
-            let (x, b) = pair;
-            prop_assert_eq!(x as u64 & 1 == 1 || !(x as u64 & 1 == 1), true);
-            let _ = b;
+            // Every case draws from its own stream, so no pair repeats
+            // across the default config's 256 cases.
+            static SEEN: std::sync::Mutex<Vec<(u32, bool)>> = std::sync::Mutex::new(Vec::new());
+            let mut seen = SEEN.lock().unwrap();
+            prop_assert!(!seen.contains(&pair), "{pair:?} drawn twice");
+            seen.push(pair);
         }
     }
 }

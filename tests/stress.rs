@@ -3,7 +3,8 @@
 //! order of magnitude past the unit-test sizes.
 
 use minobs_core::prelude::*;
-use minobs_synth::checker::{gamma_alphabet, solvable_by, solvable_by_par, CheckResult};
+use minobs_obs::NullRecorder;
+use minobs_synth::checker::{check, gamma_alphabet, solvable_by, CheckOptions, CheckResult};
 
 #[test]
 #[ignore = "scale test: 3^10 executions through the checker"]
@@ -24,7 +25,17 @@ fn checker_deep_horizon_chain_formula() {
 fn parallel_checker_matches_at_depth() {
     let k = 8;
     let seq = solvable_by(&classic::r1(), k, &gamma_alphabet());
-    let par = solvable_by_par(&classic::r1(), k, &gamma_alphabet());
+    let opts = CheckOptions {
+        parallel: true,
+        ..CheckOptions::default()
+    };
+    let par = check(
+        &classic::r1(),
+        k,
+        &gamma_alphabet(),
+        opts,
+        &mut NullRecorder,
+    );
     assert_eq!(seq, par);
 }
 

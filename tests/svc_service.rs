@@ -7,6 +7,7 @@ use minobs_svc::client::SvcClient;
 use minobs_svc::server::{serve, SvcConfig};
 use serde_json::{Map, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 fn start() -> (minobs_svc::server::Server, String) {
@@ -225,15 +226,38 @@ fn concurrent_verdicts_match_serial() {
     server.join();
 }
 
+/// A load thread's one arrival at the shutdown barrier: on its first
+/// reply, or on whatever path it leaves by (dropped), whichever is first.
+struct Arrival<'a>(Option<&'a Barrier>);
+
+impl Arrival<'_> {
+    fn arrive(&mut self) {
+        if let Some(barrier) = self.0.take() {
+            barrier.wait();
+        }
+    }
+}
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        self.arrive();
+    }
+}
+
 #[test]
 fn shutdown_under_load_loses_no_accepted_request() {
+    const LOAD_THREADS: usize = 4;
     let (server, addr) = start();
     let successes = AtomicUsize::new(0);
+    // The drain goes once every load thread has had a reply or given up,
+    // so it always lands while the load is running.
+    let loaded = Barrier::new(LOAD_THREADS + 1);
 
     std::thread::scope(|scope| {
-        for worker in 0..4usize {
+        for worker in 0..LOAD_THREADS {
             let addr = addr.clone();
             let successes = &successes;
+            let mut arrival = Arrival(Some(&loaded));
             scope.spawn(move || {
                 let mut client = match SvcClient::connect(addr.as_str()) {
                     Ok(client) => client,
@@ -244,10 +268,12 @@ fn shutdown_under_load_loses_no_accepted_request() {
                     match client.call("check_horizon", params) {
                         Ok(_) => {
                             successes.fetch_add(1, Ordering::SeqCst);
+                            arrival.arrive();
                         }
                         Err(minobs_svc::SvcError::Rpc { .. }) => {
                             // A method error is still an answered request.
                             successes.fetch_add(1, Ordering::SeqCst);
+                            arrival.arrive();
                         }
                         Err(_) => {
                             // Connection closed: the drain refused this
@@ -263,7 +289,7 @@ fn shutdown_under_load_loses_no_accepted_request() {
             });
         }
         // Let the load build, then drain from a separate connection.
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        loaded.wait();
         let mut killer = SvcClient::connect(addr.as_str()).unwrap();
         let reply = killer.call("shutdown", Value::Null).unwrap();
         assert_eq!(reply.get("draining").and_then(Value::as_bool), Some(true));
